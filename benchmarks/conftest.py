@@ -7,7 +7,7 @@ paper-vs-measured comparison.
 
 Every ``BENCH_*.json`` artifact written during a session is additionally
 stamped with a ``"machine"`` record (core count, resolved backend and
-worker count, platform, python) so perf trajectories compared across CI
+worker count, platform, python, numpy) so perf trajectories compared across CI
 runners and local machines carry the context needed to interpret them.
 """
 
@@ -19,6 +19,7 @@ import platform
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.accel.designs import proposed_design, vitis_baseline_design
@@ -45,6 +46,7 @@ def bench_machine_info() -> dict:
         "num_workers": resolve_num_workers(),
         "platform": platform.platform(),
         "python": platform.python_version(),
+        "numpy": np.__version__,
     }
 
 

@@ -1,8 +1,8 @@
-"""Parallel backends vs serial fast: end-to-end speedup and parity.
+"""Parallel ``"threaded"`` backend vs serial fast: speedup and parity.
 
-Times the two parallel kernel backends (``"threaded"`` thread pool,
-``"procs"`` shared-memory process pool) against the serial ``"fast"``
-backend on the two workloads the paper's scaling argument rests on:
+Times the ``"threaded"`` kernel backend (a thread pool over element
+shards) against the serial ``"fast"`` backend on the two workloads the
+paper's scaling argument rests on:
 
 1. the full fused RHS on the paper-scale TGV p=7 mesh (the high-order
    hot loop), and
@@ -46,7 +46,7 @@ STEP_ORDER = 3
 STEP_ELEMENTS_PER_DIRECTION = 8
 
 #: Backends under test, measured against serial "fast".
-PARALLEL_BACKENDS = ("threaded", "procs")
+PARALLEL_BACKENDS = ("threaded",)
 
 #: Required aggregate speedup (both workloads, best parallel backend)
 #: over serial fast — enforced only where the cores exist to deliver it.
@@ -103,7 +103,7 @@ def _simulation(backend: str) -> Simulation:
 
 @pytest.fixture(scope="module")
 def measurements():
-    """``{workload: {backend: seconds}}`` over fast + both parallel
+    """``{workload: {backend: seconds}}`` over fast + the parallel
     backends, measured once and shared by the recording and floor
     tests."""
     rhs_mesh = periodic_box_mesh(RHS_ELEMENTS_PER_DIRECTION, RHS_ORDER)

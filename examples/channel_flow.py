@@ -11,7 +11,7 @@ rare wall-bounded case with a closed-form Navier-Stokes solution).
 Usage::
 
     python examples/channel_flow.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded|procs] [--num-workers N] \
+        [--backend reference|fast|threaded] [--num-workers N] \
         [--dtype float64|float32|mixed]
 """
 

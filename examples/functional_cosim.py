@@ -34,7 +34,7 @@ drops only the error-report fields (the DSE cosim tier runs this way).
 Usage::
 
     python examples/functional_cosim.py [elements_per_direction] [order] \
-        [--backend reference|fast|threaded|procs] [--num-workers W] \
+        [--backend reference|fast|threaded] [--num-workers W] \
         [--case tgv|channel] \
         [--block-size B] [--num-cus N] [--full-step] [--num-steps K] \
         [--engine event|vectorized|auto] [--dtype float64|float32|mixed] \

@@ -11,7 +11,7 @@
 Usage::
 
     python examples/profile_breakdown.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded|procs] [--num-workers N] \
+        [--backend reference|fast|threaded] [--num-workers N] \
         [--dtype float64|float32|mixed]
 """
 

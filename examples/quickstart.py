@@ -8,7 +8,7 @@ same workload on the modeled FPGA accelerator and the Xeon baseline.
 Usage::
 
     python examples/quickstart.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded|procs] [--num-workers N] \
+        [--backend reference|fast|threaded] [--num-workers N] \
         [--dtype float64|float32|mixed]
 """
 

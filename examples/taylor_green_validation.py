@@ -11,7 +11,7 @@ correct physics.
 Usage::
 
     python examples/taylor_green_validation.py \
-        [--backend reference|fast|threaded|procs] [--num-workers N] \
+        [--backend reference|fast|threaded] [--num-workers N] \
         [--dtype float64|float32|mixed]
 """
 

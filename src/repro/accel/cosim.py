@@ -732,7 +732,7 @@ def cosimulate_small_mesh(
         (``"auto"`` resolves to the vectorized schedule engine).
     num_workers:
         Worker count when ``backend`` selects a parallel backend
-        (``"threaded"``/``"procs"``); ignored by serial backends.
+        (``"threaded"``); ignored by serial backends.
     dtype:
         Precision mode for both paths (``"float64"``, ``"float32"``,
         ``"mixed"``; ``None`` defers to ``REPRO_DTYPE``). Functional

@@ -15,10 +15,8 @@ Built-in backends:
   ``"reference"`` to 1e-10 relative error by the parity suite.
 - ``"threaded"`` — a thread pool that shards element batches across
   cores (the multi-CU partitioning applied to host threads), running
-  the ``"fast"`` kernels per shard with shared, copy-free outputs.
-- ``"procs"`` — a persistent shared-memory multiprocessing pool:
-  ``SharedMemory``-backed field/connectivity buffers, workers reused
-  across calls, deterministic fixed-order scatter reduction.
+  the ``"fast"`` kernels per shard with shared, copy-free outputs and a
+  deterministic fixed-order scatter reduction.
 
 Selection precedence: explicit argument > ``REPRO_BACKEND`` environment
 variable > ``"reference"``. Parallel worker counts: explicit
@@ -31,7 +29,7 @@ ARCHITECTURE.md for how to register a third-party backend.
 
 from .base import KernelBackend
 from .fast import FastBackend
-from .parallel import ProcsBackend, ThreadedBackend
+from .parallel import ThreadedBackend
 from .reference import ReferenceBackend
 from .registry import (
     BACKEND_ENV_VAR,
@@ -49,14 +47,12 @@ from .registry import (
 register_backend("reference", ReferenceBackend)
 register_backend("fast", FastBackend)
 register_backend("threaded", ThreadedBackend)
-register_backend("procs", ProcsBackend)
 
 __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "FastBackend",
     "ThreadedBackend",
-    "ProcsBackend",
     "BACKEND_ENV_VAR",
     "WORKERS_ENV_VAR",
     "DEFAULT_BACKEND",

@@ -143,9 +143,9 @@ class KernelBackend(abc.ABC):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release any resources the backend holds (worker pools, shared
-        memory). A no-op for stateless backends; parallel backends
-        override it. Idempotent — callers may close unconditionally."""
+        """Release any resources the backend holds (worker pools). A
+        no-op for stateless backends; parallel backends override it.
+        Idempotent — callers may close unconditionally."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"

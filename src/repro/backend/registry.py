@@ -127,7 +127,7 @@ def add_num_workers_argument(parser) -> None:
         type=int,
         default=None,
         help=(
-            "worker count for parallel backends (threaded/procs); "
+            "worker count for the parallel threaded backend; "
             f"default: ${WORKERS_ENV_VAR} or the CPU count"
         ),
     )

@@ -35,19 +35,9 @@ def mhz(value: float) -> float:
     return float(value) * MEGA
 
 
-def ghz(value: float) -> float:
-    """Convert a frequency expressed in GHz to Hz."""
-    return float(value) * GIGA
-
-
 def gib_per_s(value: float) -> float:
     """Convert a bandwidth expressed in GiB/s to bytes/s."""
     return float(value) * GIB
-
-
-def gb_per_s(value: float) -> float:
-    """Convert a bandwidth expressed in GB/s (decimal) to bytes/s."""
-    return float(value) * GIGA
 
 
 def seconds_from_cycles(cycles: float, frequency_hz: float) -> float:
@@ -127,10 +117,9 @@ class SolverConfig:
         asks the registry for it, so configs can be built before custom
         backends register.
     num_workers:
-        Worker count for the parallel backends (``"threaded"``,
-        ``"procs"``). ``None`` defers to the ``REPRO_NUM_WORKERS``
-        environment variable, then the machine's CPU count. Ignored by
-        serial backends.
+        Worker count for the parallel ``"threaded"`` backend. ``None``
+        defers to the ``REPRO_NUM_WORKERS`` environment variable, then
+        the machine's CPU count. Ignored by serial backends.
     dtype:
         Precision mode for fields and accumulators (``"float64"``,
         ``"float32"``, or ``"mixed"`` — see

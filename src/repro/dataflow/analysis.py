@@ -138,30 +138,3 @@ def exact_cycles(graph: DataflowGraph, iterations, *, validate: bool = True) -> 
     if validate:
         check_feasible(graph, counts)
     return compute_schedule(graph, counts).total_cycles
-
-
-def exact_task_windows(
-    graph: DataflowGraph, iterations
-) -> dict[str, tuple[int, int]]:
-    """Per-task ``(first_start, last_finish)`` windows of the exact run.
-
-    The timing-only counterpart of reading ``first_start``/``last_finish``
-    off a payload-carrying simulation trace: one vectorized schedule
-    solve yields every task's occupancy window, which is how the
-    design-space exploration prices chain windows (an RKL stage, the RKU
-    drain) on merged graphs without streaming any payloads.
-    """
-    from .schedule import (
-        check_feasible,
-        compute_schedule,
-        normalize_iteration_counts,
-    )
-
-    graph.validate()
-    counts = normalize_iteration_counts(graph, iterations)
-    check_feasible(graph, counts)
-    schedule = compute_schedule(graph, counts)
-    return {
-        name: (int(sched.starts[0]), int(sched.finishes[-1]))
-        for name, sched in schedule.tasks.items()
-    }

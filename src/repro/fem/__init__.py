@@ -41,7 +41,7 @@ from .assembly import (
     direct_stiffness_summation,
     assembly_multiplicity,
 )
-from .quadrature import quadrature_error, max_exact_degree
+from .quadrature import max_exact_degree
 
 __all__ = [
     "gll_points",
@@ -63,6 +63,5 @@ __all__ = [
     "lumped_mass",
     "direct_stiffness_summation",
     "assembly_multiplicity",
-    "quadrature_error",
     "max_exact_degree",
 ]

@@ -23,13 +23,6 @@ def integrate_1d(func: Callable[[np.ndarray], np.ndarray], num_points: int) -> f
     return float(np.dot(wts, func(pts)))
 
 
-def quadrature_error(
-    func: Callable[[np.ndarray], np.ndarray], exact: float, num_points: int
-) -> float:
-    """Absolute GLL quadrature error for ``func`` against a known integral."""
-    return abs(integrate_1d(func, num_points) - exact)
-
-
 def monomial_integral(degree: int) -> float:
     """Exact integral of ``x**degree`` over ``[-1, 1]``."""
     if degree < 0:

@@ -13,7 +13,7 @@
 """
 
 from .device import SLR, FPGADevice, ALVEO_U200
-from .ddr import DDRChannel, DDRTimings, gather_hit_rate, DDR4_2400
+from .ddr import DDRTimings, gather_hit_rate, DDR4_2400
 from .axi import AXIInterface, MemoryPort, burst_cycles, gather_cycles
 from .floorplan import Floorplan, KernelPlacement, plan_floorplan, achievable_clock_mhz
 from .power import FPGAPowerModel, PowerReport
@@ -23,7 +23,6 @@ __all__ = [
     "SLR",
     "FPGADevice",
     "ALVEO_U200",
-    "DDRChannel",
     "DDRTimings",
     "gather_hit_rate",
     "DDR4_2400",

@@ -150,19 +150,6 @@ def schedule_loop(
     )
 
 
-def schedule_many(
-    loops: list[LoopNest],
-    directive_map: dict[str, DirectiveSet],
-    arrays: dict[str, ArraySpec] | None = None,
-) -> dict[str, LoopSchedule]:
-    """Schedule several loops; loops without an entry get no directives."""
-    out: dict[str, LoopSchedule] = {}
-    for loop in loops:
-        directives = directive_map.get(loop.name, DirectiveSet())
-        out[loop.name] = schedule_loop(loop, directives, arrays)
-    return out
-
-
 def sequential_task_latency(schedules: list[LoopSchedule]) -> int:
     """Latency of a task running its loops back-to-back."""
     return sum(s.latency for s in schedules)

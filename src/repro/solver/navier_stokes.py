@@ -77,7 +77,7 @@ class NavierStokesOperator:
         One of :data:`FUSION_MODES`; overrides ``fused`` when given.
     backend:
         Compute backend for the hot kernels: a name (``"reference"``,
-        ``"fast"``, ``"threaded"``, ``"procs"``), a
+        ``"fast"``, ``"threaded"``), a
         :class:`~repro.backend.KernelBackend` instance, or ``None`` for
         the environment/default selection.
     num_workers:

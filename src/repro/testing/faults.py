@@ -30,9 +30,8 @@ Kinds and their central behavior inside :func:`trip`:
     no exception propagation; the SIGKILL-equivalent a supervisor must
     detect from the outside).
 ``"hang"``
-    ``time.sleep(spec.hang_seconds)`` (optionally ignoring ``SIGTERM``
-    first, to force ``kill()`` escalation) — a wedged worker only a
-    deadline can unstick.
+    ``time.sleep(spec.hang_seconds)`` — a wedged worker only a deadline
+    can unstick.
 ``"error"``
     raises :class:`InjectedFault` — a deterministic in-band exception
     (quarantine material, not retry material).
@@ -48,7 +47,6 @@ from __future__ import annotations
 import errno
 import os
 import random
-import signal
 import time
 from dataclasses import dataclass, field
 
@@ -95,9 +93,6 @@ class FaultSpec:
         Sleep length of a ``"hang"`` fault.
     exit_code:
         Exit status of a ``"crash"`` fault.
-    ignore_sigterm:
-        A ``"hang"`` fault first ignores ``SIGTERM``, so only ``kill()``
-        (SIGKILL) can unstick the worker — exercises escalation paths.
     """
 
     site: str
@@ -106,7 +101,6 @@ class FaultSpec:
     times: int = 1
     hang_seconds: float = 30.0
     exit_code: int = 17
-    ignore_sigterm: bool = False
     #: Shared remaining-fire budget (created lazily, fork-inherited).
     _remaining: object = field(default=None, repr=False)
 
@@ -157,8 +151,6 @@ class FaultSpec:
         if self.kind == "crash":
             os._exit(self.exit_code)
         if self.kind == "hang":
-            if self.ignore_sigterm:
-                signal.signal(signal.SIGTERM, signal.SIG_IGN)
             time.sleep(self.hang_seconds)
             return None
         if self.kind == "error":

@@ -1,11 +1,10 @@
 """Pool lifecycle, worker-count resolution, and fork safety of the
-parallel backends (``"threaded"``, ``"procs"``).
+parallel ``"threaded"`` backend.
 
 The parity suite (test_parity.py) proves the numbers are right; this
 module proves the *machinery* behaves: lazy spawn, worker reuse across
 calls, idempotent close + respawn, ``REPRO_NUM_WORKERS=1`` degenerating
-to the serial ``"fast"`` path, and survival of a ``fork()`` (the DSE
-campaign pool composition).
+to the serial ``"fast"`` path, and survival of a ``fork()``.
 """
 
 import multiprocessing
@@ -16,7 +15,6 @@ import pytest
 
 from repro.backend import (
     FastBackend,
-    ProcsBackend,
     ThreadedBackend,
     WORKERS_ENV_VAR,
     get_backend,
@@ -27,7 +25,7 @@ from repro.config import SolverConfig
 from repro.errors import ConfigurationError, FEMError
 from repro.mesh.hexmesh import periodic_box_mesh
 
-PARALLEL_CLASSES = (ThreadedBackend, ProcsBackend)
+PARALLEL_CLASSES = (ThreadedBackend,)
 
 
 @pytest.fixture()
@@ -128,14 +126,10 @@ class TestPoolLifecycle:
         r1 = backend.scatter_add_many(
             payload, mesh.connectivity, mesh.num_nodes
         )
-        if isinstance(backend, ProcsBackend):
-            pids = backend.worker_pids()
         r2 = backend.scatter_add_many(
             payload, mesh.connectivity, mesh.num_nodes
         )
         assert np.array_equal(r1, r2)
-        if isinstance(backend, ProcsBackend):
-            assert backend.worker_pids() == pids  # same workers, no respawn
         backend.close()
 
     def test_close_is_idempotent_and_respawns(self, cls, mesh, payload):
@@ -224,57 +218,22 @@ class TestForkSafety:
         expected = backend.scatter_add_many(
             payload, mesh.connectivity, mesh.num_nodes
         )
-        parent_pids = (
-            backend.worker_pids() if isinstance(backend, ProcsBackend) else None
-        )
 
         def child(queue):
-            result = backend.scatter_add_many(
-                payload, mesh.connectivity, mesh.num_nodes
+            queue.put(
+                backend.scatter_add_many(
+                    payload, mesh.connectivity, mesh.num_nodes
+                )
             )
-            own_pids = (
-                backend.worker_pids()
-                if isinstance(backend, ProcsBackend)
-                else None
-            )
-            queue.put((result, own_pids))
 
         queue = ctx.Queue()
         proc = ctx.Process(target=child, args=(queue,))
         proc.start()
-        child_result, child_pids = queue.get(timeout=60)
+        child_result = queue.get(timeout=60)
         proc.join(timeout=60)
         assert proc.exitcode == 0
         assert np.array_equal(child_result, expected)
-        if parent_pids is not None:
-            assert set(child_pids).isdisjoint(parent_pids)
-            assert backend.worker_pids() == parent_pids
         # Parent pool still fully functional after the child exits.
-        again = backend.scatter_add_many(
-            payload, mesh.connectivity, mesh.num_nodes
-        )
-        assert np.array_equal(again, expected)
-        backend.close()
-
-    def test_composes_with_dse_campaign_pool(self, mesh, payload):
-        """A live procs pool in the parent must survive a
-        ``run_campaign(workers=2)`` fork-pool sweep unscathed: the DSE
-        workers inherit the backend object but must not consume its
-        job queue or tear down its shared memory."""
-        from repro.dse import CampaignSpec, run_campaign
-
-        backend = ProcsBackend(num_workers=2)
-        expected = backend.scatter_add_many(
-            payload, mesh.connectivity, mesh.num_nodes
-        )
-        pids = backend.worker_pids()
-        spec = CampaignSpec(
-            name="parallel-backend-compose",
-            axes=(("block_size", (1, 2)), ("num_cus", (1, 2))),
-        )
-        result = run_campaign(spec, workers=2, highest_tier="closed-form")
-        assert result.results
-        assert backend.worker_pids() == pids
         again = backend.scatter_add_many(
             payload, mesh.connectivity, mesh.num_nodes
         )

@@ -107,6 +107,14 @@ class TestErrors:
         assert "reference" in message  # lists what IS available
         assert BACKEND_ENV_VAR in message  # tells the user how to select
 
+    def test_removed_procs_backend_raises(self):
+        """``"procs"`` was deleted; selecting it fails with a message
+        naming every backend that does exist."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            get_backend("procs")
+        message = str(excinfo.value)
+        assert all(name in message for name in available_backends())
+
     def test_config_error_is_configuration_error(self):
         assert ConfigError is ConfigurationError
 

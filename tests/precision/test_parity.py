@@ -16,11 +16,12 @@ import pytest
 
 from repro.accel.cosim import cosimulate_rk_stage
 from repro.accel.designs import proposed_design
+from repro.backend import available_backends
 from repro.mesh.hexmesh import periodic_box_mesh
 from repro.physics.taylor_green import DEFAULT_TGV, taylor_green_initial
 from repro.solver.simulation import Simulation
 
-ALL_BACKENDS = ("reference", "fast", "threaded", "procs")
+ALL_BACKENDS = available_backends()
 
 
 def _two_step_state(backend: str, dtype: str) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_architecture_documents_the_parallel_backends():
         "element_shards",
         "fixed shard order",
         "REPRO_NUM_WORKERS",
-        "shared_memory",
+        "ThreadPoolExecutor",
         "run_campaign(workers=N)",
     ):
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
@@ -149,7 +149,6 @@ def test_architecture_documents_fault_tolerance():
         "quarantine",
         "resume=True",
         "CheckpointError",
-        "serial_fallbacks",
         "repro.testing",
         "seeded_contexts",
     ):

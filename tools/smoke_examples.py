@@ -37,8 +37,7 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 #: Smoke-mode argv per example (small meshes, few steps).
 SMOKE_ARGS: dict[str, list[str]] = {
     "quickstart.py": [
-        "2", "3", "--backend", "procs", "--num-workers", "2",
-        "--dtype", "float32",
+        "2", "3", "--dtype", "float32",
     ],
     "taylor_green_validation.py": [],
     "channel_flow.py": [
