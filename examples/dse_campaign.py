@@ -14,8 +14,9 @@ cache economics of a warm re-run.
 bad point is quarantined instead of killing the sweep); ``--tier``
 caps the evaluation ladder; ``--cache-dir`` persists results across
 runs (content-addressed, so any changed parameter re-prices);
-``--resume`` continues a killed campaign from its checkpoint journal
-(requires ``--cache-dir``) with pure cache hits on completed batches;
+``--resume`` continues a killed campaign from its result cache
+(requires ``--cache-dir``): completed batches and quarantined points
+are served from the cache, only unpriced points are dispatched;
 ``--retries`` and ``--batch-timeout`` tune the supervision policy;
 ``--json`` writes the campaign summary for downstream tooling.
 
@@ -119,8 +120,9 @@ def main() -> None:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume a killed campaign from its checkpoint journal "
-        "(requires --cache-dir); completed batches replay from cache",
+        help="resume a killed campaign from its result cache (requires "
+        "--cache-dir); priced and quarantined points are served from "
+        "the cache instead of re-priced",
     )
     parser.add_argument(
         "--retries",
@@ -181,8 +183,8 @@ def main() -> None:
         f"cache: {cache.stats.hits} hits / {cache.stats.misses} misses "
         f"(hit rate {cache.stats.hit_rate:.0%})"
     )
-    if result.resumed:
-        print("resumed from the checkpoint journal")
+    if args.resume:
+        print(f"resumed from the result cache in {args.cache_dir}")
     if result.failures:
         print(f"quarantined casualties: {len(result.failures)}")
         for failed in result.failures:

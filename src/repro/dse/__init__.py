@@ -19,23 +19,18 @@ at three fidelities; this package makes the *space* cheap to sweep:
   :class:`~repro.dse.pool.SupervisedPool` (dead-worker respawn,
   per-batch deadlines, backoff retries, bisection quarantine) and its
   :class:`~repro.dse.pool.RetryPolicy`;
-- :mod:`repro.dse.checkpoint` — the append-only campaign progress
-  journal behind ``run_campaign(..., resume=True)``;
 - :mod:`repro.dse.executor` — :func:`~repro.dse.executor.run_campaign`
-  (supervised sharding, deterministic merge, checkpoint/resume) and
-  the asynchronous :class:`~repro.dse.executor.CampaignExecutor`
-  (``submit``/``poll``/``collect``/``cancel``, job timeouts).
+  (supervised sharding, deterministic merge, resume).
+
+The result cache is a campaign's only persistent state: it holds every
+priced point and every quarantined one, so ``run_campaign(...,
+resume=True)`` continues a killed campaign from the cache directory
+alone.
 """
 
 from .cache import CacheStats, ResultCache, cache_key
 from .campaign import CASES, PARTITIONS, CampaignSpec, DesignPoint
-from .checkpoint import CampaignJournal, JournalState, journal_path
-from .executor import (
-    AgreementCheck,
-    CampaignExecutor,
-    CampaignResult,
-    run_campaign,
-)
+from .executor import AgreementCheck, CampaignResult, run_campaign
 from .pool import PoolStats, RetryPolicy, SupervisedPool
 from .fingerprint import canonicalize, fingerprint
 from .pareto import PARETO_OBJECTIVES, pareto_front, pareto_indices
@@ -61,14 +56,10 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "AgreementCheck",
-    "CampaignExecutor",
-    "CampaignJournal",
     "CampaignResult",
-    "JournalState",
     "PoolStats",
     "RetryPolicy",
     "SupervisedPool",
-    "journal_path",
     "run_campaign",
     "canonicalize",
     "fingerprint",

@@ -15,6 +15,11 @@ parallel executor's pool workers all warming the same directory — can
 never expose a torn entry: the worst case is the same bytes written
 twice.
 
+Quarantined points are stored as well, as ``status="failed"`` entries;
+this makes the cache a campaign's whole resume state. Whether such an
+entry is served or re-priced is the executor's call (only
+``resume=True`` serves it).
+
 The cache degrades instead of failing: a corrupted / truncated /
 unreadable entry is a **miss** (the bad file is removed, the result
 recomputed and rewritten atomically, ``stats.corrupt`` incremented),

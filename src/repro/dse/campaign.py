@@ -277,16 +277,6 @@ class CampaignSpec:
             "cosim_verify": self.cosim_verify,
         }
 
-    def fingerprint(self) -> str:
-        """Content identity of the campaign (SHA-256 of :meth:`spec`).
-
-        The checkpoint journal records it so ``resume=True`` refuses to
-        splice progress from a *different* sweep into this one.
-        """
-        from .fingerprint import fingerprint as _fingerprint
-
-        return _fingerprint(self.spec())
-
     def expand(
         self,
     ) -> tuple[list[DesignPoint], list[tuple[DesignPoint, str]]]:

@@ -36,7 +36,10 @@ bisection re-chunked it.
 Fault seams (no-ops unless a :mod:`repro.testing.faults` plan is
 installed): ``"dse.worker"`` fires in a worker as it picks up a batch
 (context = batch id; crash / hang / poison), ``"dse.point"`` fires
-before each point evaluation (context = point index; error / crash).
+before each point evaluation (context = point index; error / crash),
+and ``"dse.batch"`` fires in the parent right after a batch reply is
+merged (context = batches this pool has completed; the kill-resume
+tests crash the campaign there).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 
-from ..errors import CampaignCancelled, DSEError
+from ..errors import DSEError
 from ..testing import faults
 from .cache import ResultCache
 from .tiers import evaluate_point
@@ -57,8 +60,8 @@ from .tiers import evaluate_point
 _JOIN_TIMEOUT = 5.0
 _ESCALATION_TIMEOUT = 1.0
 
-#: Ceiling on one supervision wait so cancel events stay responsive
-#: even with no deadline armed.
+#: Ceiling on one supervision wait, so the loop re-checks its queue
+#: and deadlines at least this often even with no deadline armed.
 _MAX_WAIT = 0.5
 
 
@@ -280,26 +283,19 @@ class SupervisedPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def close(self, *, force: bool = False) -> None:
-        """Tear the pool down; ``force`` skips the graceful handshake
-        and kills immediately (the cancellation path)."""
+    def close(self) -> None:
+        """Tear the pool down: ask every worker to exit, then reap."""
         workers, self._workers = self._workers, []
         channels, self._channels = self._channels, []
-        if not force:
-            for chan in channels:
-                if chan is None:
-                    continue
-                try:
-                    chan.send(("close",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for proc in workers:
-            if proc is None:
+        for chan in channels:
+            if chan is None:
                 continue
-            if force:
-                proc.kill()
-                proc.join()
-            else:
+            try:
+                chan.send(("close",))
+            except (BrokenPipeError, OSError):
+                pass
+        for proc in workers:
+            if proc is not None:
                 _reap(proc)
         for chan in channels:
             if chan is not None:
@@ -349,19 +345,13 @@ class SupervisedPool:
         tier: str,
         batches: list[list],
         options: dict | None = None,
-        *,
-        on_batch=None,
-        cancel=None,
     ):
         """Price every ``(index, point)`` item of every batch.
 
         Returns ``(results, failures)``: ``results`` maps point index to
         its :class:`~repro.dse.tiers.PointResult`; ``failures`` maps
         point index to ``(point, error_message)`` for quarantined
-        points. ``on_batch(batch_id, entries)`` runs in the parent after
-        each batch completes (the checkpoint-journal hook). ``cancel``
-        is a ``threading.Event``; once set the pool is force-closed and
-        :class:`~repro.errors.CampaignCancelled` is raised.
+        points.
         """
         options = options or {}
         self._ensure()
@@ -414,9 +404,6 @@ class SupervisedPool:
             self.stats.quarantined += 1
 
         while pending or busy:
-            if cancel is not None and cancel.is_set():
-                self.close(force=True)
-                raise CampaignCancelled("campaign cancelled")
             now = time.monotonic()
             # Dispatch every ready attempt onto an idle worker.
             dispatched_any = True
@@ -500,15 +487,16 @@ class SupervisedPool:
                     continue
                 idle.append(slot)
                 self.stats.completed += 1
-                entries = msg[2]
-                for index, status, payload in entries:
+                for index, status, payload in msg[2]:
                     if status == "ok":
                         results[index] = payload
                     else:
                         failures[index] = (points_by_index[index], payload)
                         self.stats.quarantined += 1
-                if on_batch is not None:
-                    on_batch(att.batch_id, entries)
+                # Parent-side crash seam: the kill-resume tests kill the
+                # campaign here, with every completed batch already
+                # persisted by the workers.
+                faults.trip("dse.batch", context=self.stats.completed)
             # Deadline enforcement on whoever is still out.
             now = time.monotonic()
             for slot in list(busy):

@@ -93,14 +93,3 @@ class ExperimentError(ReproError):
 class DSEError(ReproError):
     """A design-space-exploration campaign is misconfigured or failed
     (invalid design point, empty grid, unknown tier, cache misuse)."""
-
-
-class CampaignCancelled(DSEError):
-    """A campaign was cancelled before completion — an executor
-    ``cancel()``, a job deadline, or a cancel event handed to
-    :func:`repro.dse.run_campaign`."""
-
-
-class CheckpointError(DSEError):
-    """A campaign checkpoint journal cannot be used for the requested
-    resume (wrong campaign fingerprint, unusable journal path)."""

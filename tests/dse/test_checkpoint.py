@@ -1,27 +1,26 @@
-"""Checkpoint-journal and kill-then-resume tests.
+"""Kill-then-resume tests: the result cache is the resume state.
 
 The acceptance bar: a campaign SIGKILLed mid-sweep resumes from its
-checkpoint with 100% cache hits on every completed point — zero
-re-pricing — and journaled quarantines are restored, not re-failed.
+cache with 100% hits on every completed point — zero re-pricing — and
+cached quarantines are restored on resume, not re-failed, while a
+fresh run re-prices them.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 
 import pytest
 
 from repro.dse import (
-    CampaignJournal,
     CampaignSpec,
     DesignPoint,
     ResultCache,
     RetryPolicy,
-    journal_path,
     run_campaign,
 )
-from repro.errors import CheckpointError, DSEError
+from repro.errors import DSEError
+from repro.testing import FaultSpec, injected_faults
 
 BASE = DesignPoint(num_steps=10)
 SPEC = CampaignSpec(
@@ -30,65 +29,6 @@ SPEC = CampaignSpec(
     base=BASE,
 )
 RETRY = RetryPolicy(max_retries=2, batch_timeout=10.0, backoff_base=0.01)
-
-
-# -- journal unit behavior ---------------------------------------------------
-
-
-def test_journal_roundtrip(tmp_path):
-    journal = CampaignJournal(tmp_path / "j.jsonl")
-    journal.begin("fp-abc")
-    journal.batch_done("closed-form", 0)
-    journal.batch_done("closed-form", 2)
-    journal.failure("closed-form", 5, BASE, "worker died")
-    journal.tier_done("closed-form")
-    journal.end()
-    journal.close()
-    state = journal.load("fp-abc")
-    assert state.exists and state.ended
-    assert state.fingerprint == "fp-abc"
-    assert state.batches["closed-form"] == {0, 2}
-    assert state.tiers_done == ["closed-form"]
-    point, error = state.failures[("closed-form", 5)]
-    assert point == BASE and error == "worker died"
-
-
-def test_journal_tolerates_torn_tail(tmp_path):
-    """A SIGKILL mid-write leaves a truncated final line; every complete
-    line before it must still load."""
-    path = tmp_path / "j.jsonl"
-    journal = CampaignJournal(path)
-    journal.begin("fp")
-    journal.batch_done("closed-form", 0)
-    journal.close()
-    with open(path, "a") as handle:
-        handle.write('{"event": "batch", "tier": "closed-fo')  # torn
-    state = CampaignJournal(path).load("fp")
-    assert state.batches["closed-form"] == {0}
-
-
-def test_journal_missing_file_is_empty_state(tmp_path):
-    state = CampaignJournal(tmp_path / "missing.jsonl").load()
-    assert not state.exists and not state.ended
-
-
-def test_journal_fingerprint_mismatch_raises(tmp_path):
-    path = tmp_path / "j.jsonl"
-    journal = CampaignJournal(path)
-    journal.begin("fp-of-some-other-campaign")
-    journal.close()
-    with pytest.raises(CheckpointError, match="different campaign"):
-        CampaignJournal(path).load("fp-of-this-one")
-
-
-def test_campaign_fingerprint_stable_and_spec_sensitive():
-    assert SPEC.fingerprint() == SPEC.fingerprint()
-    other = CampaignSpec(
-        name="checkpointed",
-        axes=[("block_size", (1, 2, 4, 8)), ("num_cus", (1, 4))],
-        base=BASE,
-    )
-    assert other.fingerprint() != SPEC.fingerprint()
 
 
 def test_resume_requires_disk_cache():
@@ -140,8 +80,6 @@ def test_sigkilled_campaign_resumes_with_pure_cache_hits(tmp_path):
 
     completed = len(list(tmp_path.glob("*.json")))
     assert completed >= crash_after, "completed batches must be cached"
-    jpath = journal_path(tmp_path, SPEC.fingerprint())
-    assert jpath.exists(), "the journal must survive the kill"
 
     points, _ = SPEC.expand()
     cache = ResultCache(tmp_path)
@@ -154,7 +92,6 @@ def test_sigkilled_campaign_resumes_with_pure_cache_hits(tmp_path):
         resume=True,
         retry=RETRY,
     )
-    assert result.resumed
     # 100% hits on completed batches: every cached point served, none
     # re-priced.
     assert cache.stats.hits == completed
@@ -184,32 +121,37 @@ def test_resume_of_completed_campaign_is_pure_replay(tmp_path):
         SPEC, cache=again, highest_tier="closed-form", resume=True,
         retry=RETRY,
     )
-    assert result.resumed
     assert again.stats.misses == 0
     assert again.stats.hits == len(first.results)
     assert all(r.from_cache for r in result.results)
 
 
-def test_resume_restores_journaled_quarantines_without_refailing(tmp_path):
-    """A quarantined point is journaled, not cached; the resumed run
-    restores the casualty from the journal instead of re-pricing or
-    re-failing it."""
-    from repro.testing import FaultSpec, injected_faults
+#: The grid point whose evaluation raises under the injected fault.
+BAD = 3
 
-    bad = 3
-    cache = ResultCache(tmp_path)
+
+def _quarantine_one(cache_dir) -> None:
+    """Run the campaign with point ``BAD`` failing on every attempt, so
+    it is quarantined and stored in the cache as a failed entry."""
     with injected_faults(
-        FaultSpec(site="dse.point", kind="error", at=(bad,), times=0)
+        FaultSpec(site="dse.point", kind="error", at=(BAD,), times=0)
     ):
         first = run_campaign(
             SPEC,
             workers=2,
-            cache=cache,
+            cache=ResultCache(cache_dir),
             highest_tier="closed-form",
             chunk_size=2,
             retry=RETRY,
         )
     assert len(first.failures) == 1
+
+
+def test_resume_restores_cached_quarantines_without_refailing(tmp_path):
+    """A quarantined point is cached as a failed entry; the resumed run
+    restores the casualty from the cache instead of re-pricing or
+    re-failing it."""
+    _quarantine_one(tmp_path)
 
     fresh = ResultCache(tmp_path)
     result = run_campaign(
@@ -220,27 +162,65 @@ def test_resume_restores_journaled_quarantines_without_refailing(tmp_path):
         resume=True,
         retry=RETRY,
     )
-    assert result.resumed
     assert fresh.stats.misses == 0, "nothing re-priced, nothing re-failed"
-    casualty = result.results[bad]
+    casualty = result.results[BAD]
     assert casualty.status == "failed"
     assert "InjectedFault" in casualty.error
 
 
-def test_fresh_run_discards_stale_journal(tmp_path):
-    """resume=False must not inherit a previous run's journal: the old
-    file is discarded and a new begin event written."""
-    cache = ResultCache(tmp_path)
-    run_campaign(SPEC, cache=cache, highest_tier="closed-form", retry=RETRY)
-    jpath = journal_path(tmp_path, SPEC.fingerprint())
-    before = jpath.read_text()
-    assert '"end"' in before
-    run_campaign(
+def test_fresh_run_reprices_cached_quarantines(tmp_path):
+    """A fresh (non-resume) run treats a cached quarantine as a miss:
+    the casualty is re-priced once the fault is gone, and its on-disk
+    entry is overwritten with the priced result."""
+    _quarantine_one(tmp_path)
+    points, _ = SPEC.expand()
+    bad_point = points[BAD]
+    assert ResultCache(tmp_path).lookup(bad_point, "closed-form").status == (
+        "failed"
+    )
+
+    fresh = ResultCache(tmp_path)
+    result = run_campaign(
         SPEC,
-        cache=ResultCache(tmp_path),
+        cache=fresh,
         highest_tier="closed-form",
+        chunk_size=2,
         retry=RETRY,
     )
-    after = [json.loads(line) for line in jpath.read_text().splitlines()]
-    assert after[0]["event"] == "begin"
-    assert sum(1 for e in after if e["event"] == "begin") == 1
+    assert fresh.stats.misses == 1
+    assert fresh.stats.hits == len(points) - 1
+    assert result.results[BAD].ok
+    assert not result.failures
+    assert ResultCache(tmp_path).lookup(bad_point, "closed-form").ok
+
+
+def test_resume_restores_promoted_tier_quarantines(tmp_path):
+    """An exact-tier casualty (priced in the parent, not the pool) is
+    cached too; resume serves it without re-pricing."""
+    spec = CampaignSpec(
+        name="promoted-resume",
+        axes=[("block_size", (1, 2))],
+        base=BASE,
+        max_survivors=2,
+    )
+    run_campaign(
+        spec, cache=ResultCache(tmp_path), highest_tier="closed-form",
+        retry=RETRY,
+    )
+    with injected_faults(
+        FaultSpec(site="dse.point", kind="error", at=(0,), times=1)
+    ):
+        first = run_campaign(
+            spec, cache=ResultCache(tmp_path), highest_tier="exact",
+            retry=RETRY,
+        )
+    assert [r.tier for r in first.failures] == ["exact"]
+
+    again = ResultCache(tmp_path)
+    result = run_campaign(
+        spec, cache=again, highest_tier="exact", resume=True, retry=RETRY
+    )
+    assert again.stats.misses == 0
+    assert [r.error for r in result.failures] == [
+        r.error for r in first.failures
+    ]

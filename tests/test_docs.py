@@ -143,12 +143,12 @@ def test_readme_documents_the_cosim_fast_path_knobs():
 def test_architecture_documents_fault_tolerance():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (
-        "Fault tolerance & campaign checkpointing",
+        "Fault tolerance & resume",
         "SupervisedPool",
         "RetryPolicy",
         "quarantine",
         "resume=True",
-        "CheckpointError",
+        "PointResult.failed",
         "repro.testing",
         "seeded_contexts",
     ):
