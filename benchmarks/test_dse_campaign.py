@@ -36,6 +36,7 @@ import pytest
 from repro.dse import (
     CampaignSpec,
     ResultCache,
+    evaluate_point,
     prewarm_designs,
     run_campaign,
 )
@@ -127,13 +128,20 @@ def test_campaign_reaches_paper_scale(campaign):
 def test_ladder_promoted_to_cosim(campaign):
     """The campaign must climb the whole ladder: the Pareto survivors
     are re-priced by the exact schedule solve and the finalists by the
-    payload-carrying co-simulation."""
+    payload-carrying co-simulation.
+
+    Campaigns skip the checking solve by default (``cosim_verify=False``),
+    so each finalist is re-priced here with ``verify=True``, outside the
+    timed fixture: its streamed state must match ``Simulation.step`` and
+    its cycle count must be the campaign's."""
     cold = campaign["cold"]
     assert 0 < len(cold.survivors) <= CAMPAIGN.max_survivors
     assert 0 < len(cold.cosim) <= CAMPAIGN.max_cosim
     for result in cold.cosim:
-        assert result.state_max_rel_err is not None
-        assert result.state_max_rel_err < 1e-12
+        checked = evaluate_point(result.point, "cosim", verify=True)
+        assert checked.state_max_rel_err is not None
+        assert checked.state_max_rel_err < 1e-12
+        assert checked.step_cycles == result.step_cycles
 
 
 def test_tier_agreement_has_no_violations(campaign):

@@ -74,8 +74,8 @@ def convective_fluxes(
     :func:`repro.fem.operators.weak_divergence` directly.
 
     ``pool`` routes every temporary (and the returned flux arrays)
-    through reused workspaces; the operations and their association are
-    unchanged, so the values are bitwise those of the unpooled path.
+    through reused workspaces; without one, a throwaway pool makes every
+    array fresh. The values do not depend on the pool.
     """
     rho = np.asarray(rho)
     velocity = np.asarray(velocity)
@@ -84,23 +84,15 @@ def convective_fluxes(
     if velocity.shape[0] != 3:
         raise PhysicsError(f"velocity must be (3, ...), got {velocity.shape}")
 
+    if pool is None:
+        pool = WorkspacePool()
     u_last = np.moveaxis(velocity, 0, -1)  # (..., 3)
     idx = np.arange(3)
-    if pool is None:
-        mass = rho[..., None] * u_last
-        # momentum[..., i, j] = rho u_i u_j + p delta_ij
-        momentum = (
-            rho[..., None, None] * u_last[..., :, None] * u_last[..., None, :]
-        )
-        momentum[..., idx, idx] += pressure[..., None]
-        energy = (total_energy + pressure)[..., None] * u_last
-        return FluxSet(mass=mass, momentum=momentum, energy=energy)
-
     dtype = u_last.dtype
     mass = pool.get("conv.mass", u_last.shape, dtype)
     np.multiply(rho[..., None], u_last, out=mass)
-    # momentum[..., i, j] = rho u_i u_j + p delta_ij, associated exactly
-    # as the unpooled expression: (rho * u_i) * u_j.
+    # momentum[..., i, j] = rho u_i u_j + p delta_ij, associated as
+    # (rho * u_i) * u_j.
     rho_u = pool.get("conv.rho_u", u_last.shape + (1,), dtype)
     np.multiply(rho[..., None, None], u_last[..., :, None], out=rho_u)
     momentum = pool.get("conv.momentum", u_last.shape + (3,), dtype)
@@ -130,6 +122,8 @@ def viscous_fluxes(
         ``(..., 3, 3)`` velocity gradient, ``du_i/dx_j``.
     grad_t:
         ``(..., 3)`` temperature gradient.
+    pool:
+        Optional workspace pool, as for :func:`convective_fluxes`.
 
     Notes
     -----
@@ -141,23 +135,17 @@ def viscous_fluxes(
     grad_t = np.asarray(grad_t)
     if velocity.shape[0] != 3:
         raise PhysicsError(f"velocity must be (3, ...), got {velocity.shape}")
+    if pool is None:
+        pool = WorkspacePool()
     tau = stress_tensor(grad_u, gas.viscosity, pool)
     u_last = np.moveaxis(velocity, 0, -1)
-    if pool is None:
-        energy = (
-            np.einsum("...ij,...j->...i", tau, u_last)
-            + gas.thermal_conductivity * grad_t
-        )
-        mass = np.zeros_like(u_last)
-    else:
-        # energy = einsum(tau, u) + kappa * grad_t with the einsum term
-        # as the in-place left operand — same association as above.
-        energy = pool.get("visc.energy", u_last.shape, u_last.dtype)
-        np.einsum("...ij,...j->...i", tau, u_last, out=energy)
-        kappa_gt = pool.get("visc.kappa_gt", grad_t.shape, grad_t.dtype)
-        np.multiply(gas.thermal_conductivity, grad_t, out=kappa_gt)
-        energy += kappa_gt
-        mass = pool.zeros("visc.mass", u_last.shape, u_last.dtype)
+    # energy = einsum(tau, u) + kappa * grad_t
+    energy = pool.get("visc.energy", u_last.shape, u_last.dtype)
+    np.einsum("...ij,...j->...i", tau, u_last, out=energy)
+    kappa_gt = pool.get("visc.kappa_gt", grad_t.shape, grad_t.dtype)
+    np.multiply(gas.thermal_conductivity, grad_t, out=kappa_gt)
+    energy += kappa_gt
+    mass = pool.zeros("visc.mass", u_last.shape, u_last.dtype)
     return FluxSet(mass=mass, momentum=tau, energy=energy)
 
 
@@ -170,14 +158,11 @@ def combined_rhs_fluxes(
 
     Writing each equation as ``dq/dt + div(F_c - F_v) = 0``, the net flux
     is ``F_c - F_v``; the solver takes one weak divergence of this
-    combination per conserved field.
+    combination per conserved field. ``pool`` is as for
+    :func:`convective_fluxes`.
     """
     if pool is None:
-        return FluxSet(
-            mass=convective.mass - viscous.mass,
-            momentum=convective.momentum - viscous.momentum,
-            energy=convective.energy - viscous.energy,
-        )
+        pool = WorkspacePool()
     mass = pool.get("comb.mass", convective.mass.shape, convective.mass.dtype)
     np.subtract(convective.mass, viscous.mass, out=mass)
     momentum = pool.get(

@@ -27,10 +27,10 @@ def stress_tensor(
     viscosity:
         Dynamic viscosity ``mu``.
     pool:
-        Optional workspace pool; when given, the symmetrized gradient
-        and the returned tensor live in reused buffers (same operations,
-        bitwise-identical values — the caller must consume the result
-        before its next same-shape call).
+        Optional workspace pool; the symmetrized gradient and the
+        returned tensor live in its buffers, so the caller must consume
+        the result before its next same-shape call on that pool.
+        Without one, a throwaway pool makes the result fresh.
 
     Returns
     -------
@@ -39,15 +39,13 @@ def stress_tensor(
     grad_u = np.asarray(grad_u)
     if grad_u.shape[-2:] != (3, 3):
         raise PhysicsError(f"grad_u must end in (3, 3), got {grad_u.shape}")
-    div_u = np.trace(grad_u, axis1=-2, axis2=-1)
     if pool is None:
-        sym = grad_u + np.swapaxes(grad_u, -1, -2)
-        tau = viscosity * sym
-    else:
-        sym = pool.get("viscous.sym", grad_u.shape, grad_u.dtype)
-        np.add(grad_u, np.swapaxes(grad_u, -1, -2), out=sym)
-        tau = pool.get("viscous.tau", grad_u.shape, grad_u.dtype)
-        np.multiply(viscosity, sym, out=tau)
+        pool = WorkspacePool()
+    div_u = np.trace(grad_u, axis1=-2, axis2=-1)
+    sym = pool.get("viscous.sym", grad_u.shape, grad_u.dtype)
+    np.add(grad_u, np.swapaxes(grad_u, -1, -2), out=sym)
+    tau = pool.get("viscous.tau", grad_u.shape, grad_u.dtype)
+    np.multiply(viscosity, sym, out=tau)
     idx = np.arange(3)
     tau[..., idx, idx] -= (2.0 / 3.0) * viscosity * div_u[..., None]
     return tau

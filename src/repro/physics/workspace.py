@@ -9,14 +9,14 @@ hottest loop of the solver. A :class:`WorkspacePool` keeps one buffer
 per ``(tag, shape, dtype)`` and the kernels fill it in place.
 
 Pooling is *results-neutral by construction*: callers write each
-buffer completely with the same operations (same operand order, same
-association) the allocating expressions performed, so outputs are
-bitwise identical to the unpooled path — the pool only removes the
-allocator from the loop. The contract that makes reuse safe is that
-pooled buffers never outlive the kernel call that filled them: anything
-a kernel *returns* (a payload that travels the dataflow graph) is
-freshly allocated, so two chains interleaved under one simulator clock
-can never clobber each other's in-flight tokens.
+buffer completely before reading it, so outputs are bitwise identical
+whether the pool is warm or fresh (a caller without a pool gets a
+throwaway one) — the pool only removes the allocator from the loop.
+The contract that makes reuse safe is that pooled buffers never
+outlive the kernel call that filled them: anything a kernel *returns*
+(a payload that travels the dataflow graph) is freshly allocated, so
+two chains interleaved under one simulator clock can never clobber
+each other's in-flight tokens.
 
 Buffers are keyed per thread, so one pool object may be shared by every
 block view of a :class:`~repro.pipeline.kernels.PipelineContext` even

@@ -12,8 +12,7 @@ per-stage operation counts from it. Fusion levels are graph rewrites.
 - :mod:`repro.pipeline.navier_stokes` — the NS (RKL) pipeline instances;
 - :mod:`repro.pipeline.rk_update` — the RK-update (RKU) node pipeline:
   stage-combination axpy + primitive update, streamed per node block;
-- :mod:`repro.pipeline.rewrites` — gather-sharing, flux fusion, and
-  preallocated-buffer binding;
+- :mod:`repro.pipeline.rewrites` — gather-sharing and flux fusion;
 - :mod:`repro.pipeline.executor` — functional, per-branch and
   (block-)streaming execution;
 - :mod:`repro.pipeline.opcounts` — per-stage operation counts.
@@ -27,7 +26,7 @@ from .kernels import (
     register_pipeline_kernel,
 )
 from .navier_stokes import element_pipeline, navier_stokes_pipeline
-from .rewrites import bind_stage_buffers, fuse_flux_divergence, share_loads
+from .rewrites import fuse_flux_divergence, share_loads
 from .executor import (
     assembled_total,
     element_residuals,
@@ -58,7 +57,6 @@ __all__ = [
     "register_pipeline_kernel",
     "element_pipeline",
     "navier_stokes_pipeline",
-    "bind_stage_buffers",
     "fuse_flux_divergence",
     "share_loads",
     "RK_UPDATE_TASK_NAMES",

@@ -4,13 +4,10 @@ The solver's fusion levels are produced by rewriting the base two-pass
 pipeline, never by separate hand-written residual code paths:
 
 - :func:`share_loads` — merge identical LOAD stages into one shared
-  gather (``fusion="gather"``, the historical ``fused=True``);
+  gather (``fusion="gather"``);
 - :func:`fuse_flux_divergence` — merge parallel flux->divergence->store
   branches into combined-flux -> single divergence -> single store
-  (``fusion="full"``, the accelerator's merged COMPUTE module);
-- :func:`bind_stage_buffers` — point stages at preallocated context
-  buffers (the solver's allocation-free steady-state loop; the on-chip
-  staging analogue).
+  (``fusion="full"``, the accelerator's merged COMPUTE module).
 
 Rewrites are pure: they return a new :class:`OperatorPipeline` and leave
 the input untouched (pipeline instances are cached and shared).
@@ -238,55 +235,5 @@ def fuse_flux_divergence(
             params={"field_start": 0, "num_fields": 5},
         )
     )
-    out.validate()
-    return out
-
-
-def bind_stage_buffers(
-    pipeline: OperatorPipeline,
-    bindings: "dict[str, dict[str, str]]",
-) -> OperatorPipeline:
-    """Point stages at preallocated context buffers.
-
-    The fast path of a steady-state loop — reusing the same output and
-    scratch arrays every step instead of allocating — is expressed as a
-    graph rewrite, not as a bespoke code path: each bound stage gains
-    params naming the buffers its kernel should write into, and the
-    execution context (e.g.
-    :class:`~repro.pipeline.rk_update.RKUpdateContext`) carries the
-    arrays under those names.
-
-    Parameters
-    ----------
-    pipeline:
-        Pipeline to rewrite (left untouched; a copy is returned).
-    bindings:
-        ``{stage name: {kernel buffer param: context buffer name}}`` —
-        e.g. ``{"stage_axpy": {"acc": "increment", "out": "stage_state"}}``.
-
-    Returns
-    -------
-    OperatorPipeline
-        The rewritten pipeline.
-
-    Raises
-    ------
-    PipelineError
-        If a binding names a stage the pipeline does not have.
-    """
-    known = {stage.name for stage in pipeline.stages}
-    unknown = sorted(set(bindings) - known)
-    if unknown:
-        raise PipelineError(
-            f"pipeline {pipeline.name!r}: cannot bind buffers of unknown "
-            f"stage(s) {unknown}"
-        )
-    out = _copy(pipeline, f"{pipeline.name}+bound-buffers")
-    out.stages = [
-        replace(stage, params={**stage.params, **bindings[stage.name]})
-        if stage.name in bindings
-        else stage
-        for stage in pipeline.stages
-    ]
     out.validate()
     return out

@@ -21,9 +21,8 @@ This module pins the RKU half down as IR, exactly the way
 One IR instance serves the same three consumers as the RKL pipeline:
 :meth:`Simulation.step <repro.solver.simulation.Simulation.step>`
 executes it functionally via
-:func:`~repro.pipeline.executor.run_pipeline` (its preallocated-buffer
-fast path is the :func:`~repro.pipeline.rewrites.bind_stage_buffers`
-graph rewrite), :func:`repro.accel.cosim.cosimulate_rk_stage` streams it
+:func:`~repro.pipeline.executor.run_pipeline`,
+:func:`repro.accel.cosim.cosimulate_rk_stage` streams it
 cycle-accurately chained after the RKL element stream, and
 :mod:`repro.solver.workload` derives the RKU op counts from its stages
 (:func:`repro.pipeline.opcounts.stage_op_count`).
@@ -66,36 +65,17 @@ class RKUpdateContext:
 
     Unlike the element pipeline's
     :class:`~repro.pipeline.kernels.PipelineContext`, the node stream
-    needs no mesh wiring — only the gas model (for the primitive update)
-    and, optionally, the preallocated buffers that the
-    :func:`~repro.pipeline.rewrites.bind_stage_buffers` rewrite names in
-    stage params. A pipeline with no buffer bindings allocates its
-    outputs, which is what the per-block streaming path uses.
+    needs no mesh wiring — only the gas model (for the primitive update).
+    Every kernel allocates its outputs, for the solver's whole-mesh
+    execution and the per-block streaming path alike.
     """
 
     gas: GasProperties
     num_nodes: int
-    buffers: dict[str, np.ndarray] | None = None
-    #: Precision policy governing the dtype of *unbound* accumulation
-    #: buffers (``acc``/``scratch``) the axpy kernel allocates — the
-    #: node-stream analogue of the backends' scatter-add policy. Bound
-    #: buffers carry their own dtype.
+    #: Precision policy governing the dtype of the accumulation arrays
+    #: the axpy kernel allocates — the node-stream analogue of the
+    #: backends' scatter-add policy.
     precision: PrecisionPolicy = FLOAT64_POLICY
-
-    def buffer(self, stage: Stage, key: str) -> np.ndarray | None:
-        """The preallocated buffer a stage param names (None if unbound).
-
-        Raises :class:`~repro.errors.PipelineError` when the stage names
-        a buffer the context does not carry.
-        """
-        name = stage.param(key)
-        if name is None:
-            return None
-        if self.buffers is None or name not in self.buffers:
-            raise PipelineError(
-                f"stage {stage.name!r}: no buffer {name!r} bound in context"
-            )
-        return self.buffers[name]
 
 
 # ---------------------------------------------------------------------------
@@ -133,38 +113,29 @@ def _stage_axpy(
 
     Zero coefficients are skipped; when every coefficient is zero the
     input state passes through untouched (the identity stage
-    combination). The accumulation runs in the ``acc``/``scratch``
-    buffers and the result in the ``out`` buffer when the
-    :func:`~repro.pipeline.rewrites.bind_stage_buffers` rewrite bound
-    them — the solver's steady-state loop then performs no per-stage
-    allocations.
+    combination). The accumulation runs in the policy's accumulation
+    dtype; the result comes back in the state's dtype.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     acc_dtype = ctx.precision.accumulate_for(np.asarray(state).dtype)
-    acc = scratch = None
+    scratch = None
     first = True
     for deriv, coeff in zip(derivs, coeffs):
         c = float(coeff)
         if c == 0.0:
             continue
         if first:
-            acc = ctx.buffer(stage, "acc")
-            if acc is None:
-                acc = np.empty(state.shape, dtype=acc_dtype)
+            acc = np.empty(state.shape, dtype=acc_dtype)
             np.multiply(deriv, c, out=acc)
             first = False
         else:
             if scratch is None:
-                scratch = ctx.buffer(stage, "scratch")
-                if scratch is None:
-                    scratch = np.empty(state.shape, dtype=acc_dtype)
+                scratch = np.empty(state.shape, dtype=acc_dtype)
             np.multiply(deriv, c, out=scratch)
             acc += scratch
     if first:
         return (state,)
-    out = ctx.buffer(stage, "out")
-    if out is None:
-        out = np.empty_like(state)
+    out = np.empty_like(state)
     np.multiply(acc, float(dt), out=out)
     out += state
     return (out,)
@@ -182,9 +153,7 @@ def _update_primitives(ctx: RKUpdateContext, stage: Stage, combined: np.ndarray)
     rho = combined[0]
     momentum = combined[1:4]
     total_energy = combined[4]
-    out = ctx.buffer(stage, "out")
-    if out is None:
-        out = np.empty_like(combined)
+    out = np.empty_like(combined)
     velocity = out[0:3]
     np.divide(momentum, rho[None], out=velocity)
     kinetic = 0.5 * np.sum(momentum * velocity, axis=0)
@@ -195,12 +164,9 @@ def _update_primitives(ctx: RKUpdateContext, stage: Stage, combined: np.ndarray)
 
 
 def _store(ctx: RKUpdateContext, stage: Stage, value: np.ndarray):
-    """STORE-node: stream the block back (copy only when re-homed)."""
-    out = ctx.buffer(stage, "out")
-    if out is None or out is value:
-        return (value,)
-    np.copyto(out, value)
-    return (out,)
+    """STORE-node: stream the block back (a pass-through; the streaming
+    actions write the block into the caller's output arrays)."""
+    return (value,)
 
 
 register_pipeline_kernel("store_node_state")(_store)
@@ -392,9 +358,7 @@ def rk_update_streaming_actions(
     Parameters
     ----------
     pipeline / ctx:
-        An :func:`rk_update_pipeline` instance (bindings-free — the
-        streaming path writes block slices, not whole-mesh buffers) and
-        its bound context.
+        An :func:`rk_update_pipeline` instance and its bound context.
     state:
         Global stacked state ``(5, N)`` the combination reads. The array
         is read *per block at task start*, so an upstream producer

@@ -196,7 +196,7 @@ def error_growth_report(
     num_workers: int | None = None,
     case=None,
     dt: float | None = None,
-    fusion: str | None = None,
+    fusion: str = "none",
 ) -> ErrorGrowthReport:
     """Step TGV in ``dtype`` and in float64, reporting error growth.
 

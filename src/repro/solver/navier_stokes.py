@@ -23,8 +23,7 @@ pipeline (:mod:`repro.pipeline.rewrites`), not a separate code path:
 - ``"none"`` — independent gather/scatter per pass, mirroring the
   paper's profiled C++ (whose diffusion and convection functions are
   independent, which is also what lets the accelerator merge them);
-- ``"gather"`` — one shared gather, separate scatters (the historical
-  ``fused=True`` mode);
+- ``"gather"`` — one shared gather, separate scatters;
 - ``"full"`` — one gather, the convective and viscous fluxes combined
   per node, one weak divergence and one scatter-add for the summed
   residual: the software analogue of the accelerator's merged
@@ -71,10 +70,8 @@ class NavierStokesOperator:
         Optional :class:`PhaseProfiler`; phases ``rk.diffusion``,
         ``rk.convection`` and ``rk.other`` are attributed per pipeline
         stage as in the paper's Fig. 2.
-    fused:
-        Back-compat alias: ``fused=True`` selects ``fusion="gather"``.
     fusion:
-        One of :data:`FUSION_MODES`; overrides ``fused`` when given.
+        One of :data:`FUSION_MODES` (default ``"none"``).
     backend:
         Compute backend for the hot kernels: a name (``"reference"``,
         ``"fast"``, ``"threaded"``), a
@@ -99,16 +96,13 @@ class NavierStokesOperator:
         mesh: HexMesh,
         gas: GasProperties,
         profiler: PhaseProfiler | None = None,
-        fused: bool = False,
-        fusion: str | None = None,
+        fusion: str = "none",
         backend: str | KernelBackend | None = None,
         num_workers: int | None = None,
         dtype: str | PrecisionPolicy | None = None,
     ) -> None:
         self.mesh = mesh
         self.gas = gas
-        if fusion is None:
-            fusion = "gather" if fused else "none"
         if fusion not in FUSION_MODES:
             raise SolverError(
                 f"fusion must be one of {FUSION_MODES}, got {fusion!r}"
@@ -147,11 +141,6 @@ class NavierStokesOperator:
 
             tags = tag_box_boundaries(mesh)
             self.wall_nodes = np.nonzero(tags != 0)[0]
-
-    @property
-    def fused(self) -> bool:
-        """Back-compat: whether any gather sharing is active."""
-        return self.fusion != "none"
 
     # -- element-pass diagnostics (compute-only pipeline execution) ----------
 

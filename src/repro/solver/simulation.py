@@ -28,14 +28,9 @@ import numpy as np
 from ..errors import SolverError
 from ..physics.diagnostics import kinetic_energy, total_mass
 from ..physics.gas import GasProperties
-from ..physics.state import NUM_CONSERVED, FlowState
+from ..physics.state import FlowState
 from ..physics.taylor_green import TGVCase, taylor_green_initial
-from ..pipeline import (
-    RKUpdateContext,
-    bind_stage_buffers,
-    rk_update_pipeline,
-    run_pipeline,
-)
+from ..pipeline import RKUpdateContext, rk_update_pipeline, run_pipeline
 from ..timeint.butcher import RK4, ButcherTableau
 from ..timeint.cfl import stable_time_step
 from .navier_stokes import NavierStokesOperator
@@ -146,9 +141,8 @@ class Simulation:
         tableau: ButcherTableau = RK4,
         profiler: PhaseProfiler | None = None,
         initial_state: FlowState | None = None,
-        fused_operator: bool = False,
         cfl: float = 0.5,
-        fusion: str | None = None,
+        fusion: str = "none",
         backend=None,
         num_workers: int | None = None,
         dtype=None,
@@ -163,7 +157,6 @@ class Simulation:
                 mesh,
                 self.gas,
                 profiler=self.profiler,
-                fused=fused_operator,
                 fusion=fusion,
                 backend=backend,
                 num_workers=num_workers,
@@ -179,41 +172,12 @@ class Simulation:
             # The RK-update pipelines the step executes: the
             # combination-only variant for the intermediate stages and
             # the full variant (axpy + RKU primitive update) for the
-            # step's end. Their preallocated buffers — reused by every
-            # step, the accelerator's on-chip staging analogue — are a
-            # graph rewrite (bind_stage_buffers), not a bespoke path.
-            shape = (NUM_CONSERVED, mesh.num_nodes)
-            storage = self.precision.storage
-            acc_dtype = self.precision.accumulate_for(storage)
-            self._rk_buffers = {
-                "increment": np.empty(shape, dtype=acc_dtype),
-                "scratch": np.empty(shape, dtype=acc_dtype),
-                "stage_state": np.empty(shape, dtype=storage),
-                "primitives": np.empty(shape, dtype=storage),
-            }
-            bindings = {
-                "stage_axpy": {
-                    "acc": "increment",
-                    "scratch": "scratch",
-                    "out": "stage_state",
-                },
-                "store_state": {"out": "stage_state"},
-            }
-            self._rk_combine = bind_stage_buffers(
-                rk_update_pipeline(primitives=False), bindings
-            )
-            self._rk_update = bind_stage_buffers(
-                rk_update_pipeline(primitives=True),
-                {
-                    **bindings,
-                    "update_primitives": {"out": "primitives"},
-                    "store_primitives": {"out": "primitives"},
-                },
-            )
+            # step's end — the same instances cosim streaming runs.
+            self._rk_combine = rk_update_pipeline(primitives=False)
+            self._rk_update = rk_update_pipeline(primitives=True)
             self._rku_ctx = RKUpdateContext(
                 gas=self.gas,
                 num_nodes=mesh.num_nodes,
-                buffers=self._rk_buffers,
                 precision=self.precision,
             )
 
@@ -238,8 +202,7 @@ class Simulation:
         """Execute one RK-update pipeline instance on the whole mesh.
 
         Binds the step's external payloads and returns the combined
-        (stage or final) state, which lives in the preallocated
-        ``stage_state`` buffer when the combination is non-trivial.
+        (stage or final) state.
         """
         outputs = run_pipeline(
             pipeline,
@@ -256,10 +219,7 @@ class Simulation:
         the stage derivatives through the Navier-Stokes pipeline, and
         the stage combinations plus the final RKU primitive update
         (``rho, u, T, E, p``) run the :mod:`repro.pipeline.rk_update`
-        instances — writing into the buffers the
-        ``bind_stage_buffers`` rewrite preallocated at construction, so
-        the steady-state loop performs no per-stage allocations beyond
-        the residual evaluations themselves.
+        instances.
         """
         if dt <= 0:
             raise SolverError(f"dt must be positive, got {dt}")
@@ -284,8 +244,8 @@ class Simulation:
             # The operator attributes its own rk.diffusion / rk.convection.
             stage_derivs.append(self.operator.residual(y_stage))
         # RKU: the final combination and the primitive re-derivation
-        # (the values the paper's RKU kernel writes back each step, left
-        # in the "primitives" buffer as u, v, w, T, p).
+        # (the values the paper's RKU kernel writes back each step:
+        # u, v, w, T, p).
         updated = self._run_rk_update(
             self._rk_update, y, stage_derivs, tableau.b, dt
         )

@@ -138,58 +138,3 @@ class TestIntegrals:
         diag = element_mass_matrix_diagonal(geom, ref)
         assert (diag > 0).all()
 
-
-class TestEinsumPathCache:
-    """Cached contraction plans: bitwise-identical results, no hot-path
-    planning."""
-
-    def test_cached_path_matches_per_call_planning(self, mesh_geom_ref):
-        from repro.fem.operators import set_einsum_path_cache
-
-        mesh, geom, ref = mesh_geom_ref
-        rng = np.random.default_rng(7)
-        field = rng.standard_normal((mesh.num_elements, ref.num_nodes))
-        flux = rng.standard_normal((mesh.num_elements, ref.num_nodes, 3))
-
-        cached_grad = physical_gradient(field, geom, ref)
-        cached_div = weak_divergence(flux, geom, ref)
-        cached_int = element_integrals(field, geom, ref)
-        previous = set_einsum_path_cache(False)
-        try:
-            assert previous is True
-            assert np.array_equal(
-                physical_gradient(field, geom, ref), cached_grad
-            )
-            assert np.array_equal(
-                weak_divergence(flux, geom, ref), cached_div
-            )
-            assert np.array_equal(
-                element_integrals(field, geom, ref), cached_int
-            )
-        finally:
-            set_einsum_path_cache(True)
-
-    def test_hot_step_profile_is_free_of_einsum_planning(self):
-        """A warmed-up solver step must never re-plan a contraction:
-        the numpy path-search frames (the planner behind
-        ``optimize=True``) may not appear in its profile."""
-        import cProfile
-        import pstats
-
-        from repro.physics.taylor_green import DEFAULT_TGV
-        from repro.solver.simulation import Simulation
-
-        sim = Simulation(periodic_box_mesh(2, 3), DEFAULT_TGV)
-        dt = sim.compute_dt()
-        sim.step(dt)  # warm every cached contraction plan
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        sim.step(dt)
-        profiler.disable()
-
-        profiled = {func[2] for func in pstats.Stats(profiler).stats}
-        planner_frames = {"_optimal_path", "_greedy_path", "_flop_count"}
-        assert profiled.isdisjoint(planner_frames), sorted(
-            profiled & planner_frames
-        )

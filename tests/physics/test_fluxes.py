@@ -10,6 +10,8 @@ from repro.physics.fluxes import (
     viscous_fluxes,
 )
 from repro.physics.gas import GasProperties
+from repro.physics.viscous import stress_tensor
+from repro.physics.workspace import WorkspacePool
 
 
 @pytest.fixture()
@@ -127,3 +129,83 @@ class TestCombination:
         assert np.allclose(net.mass, conv.mass - visc.mass)
         assert np.allclose(net.momentum, conv.momentum - visc.momentum)
         assert np.allclose(net.energy, conv.energy - visc.energy)
+
+
+def _flux_inputs(seed, dtype, shape=(4, 27)):
+    """Positive-state primitives and gradients at element-node shape."""
+    rng = np.random.default_rng(seed)
+    return {
+        "rho": (np.abs(rng.normal(size=shape)) + 1.0).astype(dtype),
+        "velocity": rng.normal(size=(3,) + shape).astype(dtype),
+        "pressure": (np.abs(rng.normal(size=shape)) + 1.0).astype(dtype),
+        "total_energy": (np.abs(rng.normal(size=shape)) + 5.0).astype(dtype),
+        "grad_u": rng.normal(size=shape + (3, 3)).astype(dtype),
+        "grad_t": rng.normal(size=shape + (3,)).astype(dtype),
+    }
+
+
+def _all_fluxes(x, gas, pool):
+    """Copies of every array the four flux kernels return for ``x``."""
+    tau = stress_tensor(x["grad_u"], gas.viscosity, pool).copy()
+    conv = convective_fluxes(
+        x["rho"], x["velocity"], x["pressure"], x["total_energy"], pool
+    )
+    conv_arrays = [a.copy() for a in (conv.mass, conv.momentum, conv.energy)]
+    visc = viscous_fluxes(x["velocity"], x["grad_u"], x["grad_t"], gas, pool)
+    visc_arrays = [a.copy() for a in (visc.mass, visc.momentum, visc.energy)]
+    net = combined_rhs_fluxes(conv, visc, pool)
+    net_arrays = [a.copy() for a in (net.mass, net.momentum, net.energy)]
+    return [tau] + conv_arrays + visc_arrays + net_arrays
+
+
+def _textbook_fluxes(x, gas):
+    """The same fluxes as plain allocating numpy expressions, with the
+    association the kernels document."""
+    grad_u, u = x["grad_u"], np.moveaxis(x["velocity"], 0, -1)
+    idx = np.arange(3)
+    div_u = np.trace(grad_u, axis1=-2, axis2=-1)
+    tau = gas.viscosity * (grad_u + np.swapaxes(grad_u, -1, -2))
+    tau[..., idx, idx] -= (2.0 / 3.0) * gas.viscosity * div_u[..., None]
+    rho = x["rho"]
+    conv = [
+        rho[..., None] * u,
+        rho[..., None, None] * u[..., :, None] * u[..., None, :],
+        (x["total_energy"] + x["pressure"])[..., None] * u,
+    ]
+    conv[1][..., idx, idx] += x["pressure"][..., None]
+    visc = [
+        np.zeros_like(u),
+        tau,
+        np.einsum("...ij,...j->...i", tau, u)
+        + gas.thermal_conductivity * x["grad_t"],
+    ]
+    net = [c - v for c, v in zip(conv, visc)]
+    return [tau] + conv + visc + net
+
+
+class TestWorkspaceParity:
+    """The flux kernels return bitwise the same values with a fresh
+    pool, a warm pool reused by another input, or no pool at all."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pooled_equals_unpooled_bitwise(self, gas, dtype):
+        x = _flux_inputs(3, dtype)
+        unpooled = _all_fluxes(x, gas, None)
+        pooled = _all_fluxes(x, gas, WorkspacePool())
+        textbook = _textbook_fluxes(x, gas)
+        for a, b, c in zip(unpooled, pooled, textbook):
+            assert a.dtype == b.dtype == np.dtype(dtype)
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reused_pool_does_not_leak_between_inputs(self, gas, dtype):
+        first, second = _flux_inputs(5, dtype), _flux_inputs(6, dtype)
+        pool = WorkspacePool()
+        before = _all_fluxes(first, gas, pool)
+        _all_fluxes(second, gas, pool)
+        misses = pool.misses
+        after = _all_fluxes(first, gas, pool)
+        assert pool.misses == misses  # the third pass reused every buffer
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)

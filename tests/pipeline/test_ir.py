@@ -88,7 +88,7 @@ class TestFusionRewrites:
         loads = [s for s in p.stages if s.role == "load"]
         assert len(loads) == 1
         assert loads[0].phase == "rk.other"
-        # separate stores survive (the historical fused=True behaviour)
+        # separate stores survive
         assert len([s for s in p.stages if s.role == "store"]) == 2
 
     def test_full_fusion_is_single_chain(self):

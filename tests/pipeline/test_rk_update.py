@@ -9,7 +9,6 @@ from repro.physics.taylor_green import DEFAULT_TGV
 from repro.pipeline import (
     RK_UPDATE_TASK_NAMES,
     RKUpdateContext,
-    bind_stage_buffers,
     node_blocks,
     rk_update_pipeline,
     rk_update_streaming_actions,
@@ -136,76 +135,6 @@ class TestFunctionalExecution:
         assert np.abs(prims[0:3] - state.velocity()).max() < 1e-13
         assert np.abs(prims[3] - state.temperature(gas)).max() < 1e-13
         assert np.abs(prims[4] - state.pressure(gas)).max() < 1e-13
-
-
-class TestBufferBinding:
-    def test_bound_buffers_receive_the_outputs(self, gas, rng):
-        y = random_state(rng, 13)
-        buffers = {
-            "increment": np.empty((5, 13)),
-            "scratch": np.empty((5, 13)),
-            "stage_state": np.empty((5, 13)),
-            "primitives": np.empty((5, 13)),
-        }
-        pipeline = bind_stage_buffers(
-            rk_update_pipeline(),
-            {
-                "stage_axpy": {
-                    "acc": "increment",
-                    "scratch": "scratch",
-                    "out": "stage_state",
-                },
-                "store_state": {"out": "stage_state"},
-                "update_primitives": {"out": "primitives"},
-                "store_primitives": {"out": "primitives"},
-            },
-        )
-        ctx = RKUpdateContext(gas=gas, num_nodes=13, buffers=buffers)
-        derivs = [rng.normal(size=(5, 13))]
-        outputs = run_pipeline(
-            pipeline,
-            ctx,
-            {
-                "state": y,
-                "derivs": derivs,
-                "coeffs": np.array([1.0]),
-                "dt": 0.5,
-            },
-        )
-        # No re-homing copies: the outputs ARE the preallocated buffers.
-        assert outputs["updated_state"] is buffers["stage_state"]
-        assert outputs["stored_primitives"] is buffers["primitives"]
-        expected = y + 0.5 * derivs[0]
-        assert np.abs(buffers["stage_state"] - expected).max() < 1e-15
-
-    def test_unknown_stage_binding_raises(self):
-        with pytest.raises(PipelineError):
-            bind_stage_buffers(
-                rk_update_pipeline(), {"no_such_stage": {"out": "b"}}
-            )
-
-    def test_missing_context_buffer_raises(self, gas, rng):
-        pipeline = bind_stage_buffers(
-            rk_update_pipeline(primitives=False),
-            {"store_state": {"out": "unbound"}},
-        )
-        ctx = RKUpdateContext(gas=gas, num_nodes=4)
-        with pytest.raises(PipelineError):
-            run_pipeline(
-                pipeline,
-                ctx,
-                {
-                    "state": random_state(rng, 4),
-                    "derivs": [np.ones((5, 4))],
-                    "coeffs": np.array([1.0]),
-                    "dt": 0.1,
-                },
-            )
-
-    def test_binding_leaves_source_pipeline_untouched(self):
-        source = rk_update_pipeline()
-        bind_stage_buffers(source, {"stage_axpy": {"out": "b"}})
-        assert source.stage("stage_axpy").param("out") is None
 
 
 class TestNodeBlocks:

@@ -47,8 +47,8 @@ class TestStructure:
 
         mesh = periodic_box_mesh(3, 2)
         gas = DEFAULT_TGV.gas()
-        plain = NavierStokesOperator(mesh, gas, fused=False)
-        fused = NavierStokesOperator(mesh, gas, fused=True)
+        plain = NavierStokesOperator(mesh, gas, fusion="none")
+        fused = NavierStokesOperator(mesh, gas, fusion="gather")
         stacked = tgv_state.as_stacked()
         assert np.allclose(plain.residual(stacked), fused.residual(stacked))
 

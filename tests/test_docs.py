@@ -120,8 +120,6 @@ def test_architecture_documents_the_execution_caches():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (
         "Execution caches & the verify switch",
-        "planned_einsum",
-        "set_einsum_path_cache",
         "WorkspacePool",
         "set_schedule_cache",
         "schedule_cache_stats",
