@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md Section 4 for the index) and records the headline numbers
-in ``benchmark.extra_info`` so the JSON output carries the
-paper-vs-measured comparison.
+(:mod:`repro.experiments` holds the index; README.md shows how to run
+them) and records the headline numbers in ``benchmark.extra_info`` so
+the JSON output carries the paper-vs-measured comparison.
 
 Every ``BENCH_*.json`` artifact written during a session is additionally
 stamped with a ``"machine"`` record (core count, resolved backend and

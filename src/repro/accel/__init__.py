@@ -33,8 +33,6 @@ from .cosim import (
     CosimResult,
     DesignTiming,
     rk_step_seconds,
-    rk_method_seconds,
-    end_to_end_step_seconds,
     cosimulate_small_mesh,
     streamed_residual,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "CosimResult",
     "DesignTiming",
     "rk_step_seconds",
-    "rk_method_seconds",
-    "end_to_end_step_seconds",
     "cosimulate_small_mesh",
     "streamed_residual",
 ]

@@ -39,6 +39,16 @@ state must match :meth:`repro.solver.simulation.Simulation.step` to
 rounding error, and :func:`design_timing_from_rk_cosim` turns the trace
 into a :class:`DesignTiming` whose RKU seconds are simulated rather than
 modeled.
+
+Every co-simulated chain — an RKL element stream per compute unit, a
+stage-combination or final RKU node stream, with or without payloads —
+has one lowering: :meth:`~repro.pipeline.ir.OperatorPipeline.to_task_graph`,
+whose ``depends_on=`` and ``fill_cycles=`` carry the kernel sequencing
+and the kernel-launch fill on the chain's entry task. One private
+helper builds the per-CU RKL chains for :func:`streamed_residual`,
+:func:`exact_rkl_stage_cycles` and :func:`cosimulate_rk_stage` alike,
+and the closed forms (:func:`analytic_rkl_stage_cycles`,
+:func:`analytic_rku_step_cycles`) share one tandem-pipeline recurrence.
 """
 
 from __future__ import annotations
@@ -50,7 +60,6 @@ import numpy as np
 from ..config import seconds_from_cycles
 from ..dataflow.graph import DataflowGraph, merge_graphs
 from ..dataflow.simulator import DataflowSimulator, SimulationTrace
-from ..dataflow.task import BlockLatency, Task
 from ..errors import ExperimentError
 from ..mesh.hexmesh import HexMesh, elements_for_node_count
 from ..mesh.partition import element_blocks, partition_elements_balanced
@@ -144,43 +153,6 @@ def rk_step_seconds(
     return design_timing(design, num_nodes, tableau=tableau).rk_step_seconds
 
 
-def rk_method_seconds(
-    design: AcceleratorDesign,
-    num_nodes: int,
-    num_steps: int,
-    tableau: ButcherTableau = RK4,
-) -> float:
-    """Seconds for the RK method over a whole run (Fig. 5's metric).
-
-    Raises :class:`~repro.errors.ExperimentError` if ``num_steps < 1``.
-    """
-    if num_steps < 1:
-        raise ExperimentError("num_steps must be >= 1")
-    return rk_step_seconds(design, num_nodes, tableau) * num_steps
-
-
-def end_to_end_step_seconds(
-    design: AcceleratorDesign,
-    num_nodes: int,
-    host_non_rk_seconds: float,
-    pcie_seconds: float = 0.0,
-    tableau: ButcherTableau = RK4,
-) -> float:
-    """End-to-end step: host non-RK work + accelerator RK + PCIe sync.
-
-    This is the Section IV-B comparison: the host retains the non-RK
-    phases ("The remaining computations are handled by the host CPU")
-    while the accelerator executes the RK method.
-    """
-    if host_non_rk_seconds < 0 or pcie_seconds < 0:
-        raise ExperimentError("times must be >= 0")
-    return (
-        host_non_rk_seconds
-        + rk_step_seconds(design, num_nodes, tableau)
-        + pcie_seconds
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cycle-level co-simulation
 # ---------------------------------------------------------------------------
@@ -245,11 +217,67 @@ def build_rkl_dataflow_graph(
     )
 
 
-def _cu_task_names(cu: int) -> dict[str, str]:
-    """Role -> task-name mapping of one compute unit's shard."""
-    return {
-        role: f"cu{cu}.{base}" for role, base in DEFAULT_TASK_NAMES.items()
-    }
+def _rkl_stage(
+    design: AcceleratorDesign,
+    num_nodes: int,
+    partitions: list[np.ndarray],
+    block_size: int,
+    pipeline: OperatorPipeline,
+    name: str,
+    *,
+    prefix: str | None = None,
+    actions=None,
+    depends_on: tuple[str, ...] = (),
+) -> tuple[DataflowGraph, dict[str, int], list[str]]:
+    """One RKL stage: an element chain per compute unit, one lowering.
+
+    Chain ``cu`` streams ``partitions[cu]`` in ``block_size``-element
+    tokens through :meth:`~repro.pipeline.ir.OperatorPipeline.to_task_graph`,
+    its LOAD/STORE priced at the CU's node share of ``num_nodes``. Its
+    tasks are named ``<prefix>cu<k>.<task>`` and its graph
+    ``<name>-cu<k>``, except that with ``prefix=None`` a lone compute
+    unit keeps the pipeline's task names and ``name``.
+    ``actions(cu, blocks)`` supplies each chain's payload actions, and
+    every chain's entry task waits on ``depends_on``.
+
+    Returns the stage graph (the lone chain, or the chains merged under
+    one clock as ``<name>-<N>cu``), its per-task iteration counts and
+    the STORE task names. Raises
+    :class:`~repro.errors.ExperimentError` if ``block_size < 1``.
+    """
+    if block_size < 1:
+        raise ExperimentError("block_size must be >= 1")
+    lone = prefix is None and len(partitions) == 1
+    nodes_per_cu = nodes_per_compute_unit(num_nodes, len(partitions))
+    stage_cycles = design.pipeline_stage_cycles(pipeline, nodes_per_cu)
+    chains: list[DataflowGraph] = []
+    iterations: dict[str, int] = {}
+    stores: list[str] = []
+    for cu, part in enumerate(partitions):
+        blocks = element_blocks(part, block_size)
+        names = dict(DEFAULT_TASK_NAMES)
+        if not lone:
+            names = {
+                role: f"{prefix or ''}cu{cu}.{base}"
+                for role, base in names.items()
+            }
+        chain = pipeline.to_task_graph(
+            stage_cycles,
+            task_names=names,
+            actions=None if actions is None else actions(cu, blocks),
+            name=name if lone else f"{name}-cu{cu}",
+            block_sizes=(
+                None if block_size == 1 else [block.size for block in blocks]
+            ),
+            depends_on=depends_on,
+        )
+        iterations.update(dict.fromkeys(chain.tasks, len(blocks)))
+        stores.append(names["store"])
+        chains.append(chain)
+    if len(chains) == 1:
+        return chains[0], iterations, stores
+    merged = merge_graphs(f"{name}-{len(chains)}cu", chains)
+    return merged, iterations, stores
 
 
 def _element_partitions(
@@ -281,6 +309,20 @@ def _element_partitions(
     return partitions
 
 
+def _tandem_cycles(role_cycles, sizes) -> float:
+    """Drain cycle of a tandem pipeline streaming tokens of ``sizes`` units.
+
+    ``finish(t, i) = max(finish(t, i-1), finish(t-1, i)) + c_t * b_i``
+    over the chain's tasks ``t`` (per-unit cycles ``c_t``) and tokens
+    ``i`` (``b_i`` units each).
+    """
+    finish = [0.0] * len(role_cycles)
+    for size in sizes:
+        upstream = 0.0
+        for task, cycles in enumerate(role_cycles):
+            finish[task] = max(finish[task], upstream) + cycles * size
+            upstream = finish[task]
+    return finish[-1]
 
 
 def analytic_block_cycles(
@@ -320,14 +362,35 @@ def analytic_block_cycles(
         raise ExperimentError("block_sizes must be non-empty")
     if not design.options.element_dataflow:
         return design.rkl_element_ii(num_nodes) * sum(sizes)
-    role_cycles = list(design.rkl_element_cycles(num_nodes).values())
-    finish = [0.0] * len(role_cycles)
-    for size in sizes:
-        upstream = 0.0
-        for task, cycles in enumerate(role_cycles):
-            finish[task] = max(finish[task], upstream) + cycles * size
-            upstream = finish[task]
-    return finish[-1]
+    return _tandem_cycles(
+        list(design.rkl_element_cycles(num_nodes).values()), sizes
+    )
+
+
+def analytic_rkl_stage_cycles(
+    design: AcceleratorDesign,
+    num_nodes: int,
+    partitions,
+    block_size: int,
+) -> float:
+    """Closed-form RKL stage cycles of an element stream sharded over CUs.
+
+    The max over compute units of :func:`analytic_block_cycles` on each
+    shard's ``block_size``-element tokens, every CU's LOAD/STORE priced
+    at its node share
+    (:func:`~repro.accel.multi_cu.nodes_per_compute_unit`) — the closed
+    form :func:`exact_rkl_stage_cycles` and the co-simulated stage
+    windows are audited against.
+    """
+    nodes_per_cu = nodes_per_compute_unit(num_nodes, len(partitions))
+    return max(
+        analytic_block_cycles(
+            design,
+            nodes_per_cu,
+            [block.size for block in element_blocks(part, block_size)],
+        )
+        for part in partitions
+    )
 
 
 def analytic_rku_step_cycles(
@@ -353,14 +416,10 @@ def analytic_rku_step_cycles(
         raise ExperimentError("num_nodes must be >= 1")
     if node_block_size < 1:
         raise ExperimentError("node_block_size must be >= 1")
-    role_cycles = list(design.rku_node_cycles(num_nodes).values())
-    finish = [0.0] * len(role_cycles)
-    for block in node_blocks(num_nodes, node_block_size):
-        upstream = 0.0
-        for task, cycles in enumerate(role_cycles):
-            finish[task] = max(finish[task], upstream) + cycles * block.size
-            upstream = finish[task]
-    return design.rku_fill_cycles() + finish[-1]
+    return design.rku_fill_cycles() + _tandem_cycles(
+        list(design.rku_node_cycles(num_nodes).values()),
+        [block.size for block in node_blocks(num_nodes, node_block_size)],
+    )
 
 
 def exact_rkl_stage_cycles(
@@ -376,12 +435,12 @@ def exact_rkl_stage_cycles(
     """Exact RKL stage cycles from the schedule engine, *without* payloads.
 
     The middle rung of the design-space exploration's evaluation ladder:
-    the same lowered graphs a payload-carrying co-simulation would run
-    (per-CU chains from :func:`build_rkl_dataflow_graph`, merged under
-    one clock) priced by :func:`repro.dataflow.analysis.exact_cycles`
-    alone — an exact schedule solve at array-recurrence cost, with no
-    mesh, state, or actions built. Agreement with both the closed form
-    (:func:`analytic_block_cycles`) and the full co-simulation is
+    the same per-CU chains, from the same lowering, that a
+    payload-carrying co-simulation runs (merged under one clock), priced
+    by :func:`repro.dataflow.analysis.exact_cycles` alone — an exact
+    schedule solve at array-recurrence cost, with no mesh, state, or
+    actions built. Agreement with both the closed form
+    (:func:`analytic_rkl_stage_cycles`) and the full co-simulation is
     asserted by the tier-agreement tests.
 
     Parameters
@@ -406,41 +465,15 @@ def exact_rkl_stage_cycles(
     """
     from ..dataflow.analysis import exact_cycles
 
-    if block_size < 1:
-        raise ExperimentError("block_size must be >= 1")
-    if pipeline is None:
-        pipeline = element_pipeline()
     partitions = _element_partitions(num_elements, num_cus, partitions)
-    num_cus = len(partitions)
-    nodes_per_cu = nodes_per_compute_unit(num_nodes, num_cus)
-
-    subgraphs: list[DataflowGraph] = []
-    iterations: dict[str, int] = {}
-    for cu, part in enumerate(partitions):
-        blocks = element_blocks(part, block_size)
-        graph = build_rkl_dataflow_graph(
-            design,
-            nodes_per_cu,
-            pipeline=pipeline,
-            block_sizes=(
-                None if block_size == 1 else [block.size for block in blocks]
-            ),
-            task_names=None if num_cus == 1 else _cu_task_names(cu),
-            name=(
-                f"rkl-exact-{design.options.name}"
-                if num_cus == 1
-                else f"rkl-exact-{design.options.name}-cu{cu}"
-            ),
-        )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-    if num_cus == 1:
-        graph = subgraphs[0]
-    else:
-        graph = merge_graphs(
-            f"rkl-exact-{design.options.name}-{num_cus}cu", subgraphs
-        )
+    graph, iterations, _ = _rkl_stage(
+        design,
+        num_nodes,
+        partitions,
+        block_size,
+        pipeline or element_pipeline(),
+        f"rkl-exact-{design.options.name}",
+    )
     return exact_cycles(graph, iterations)
 
 
@@ -467,15 +500,11 @@ def exact_rku_step_cycles(
         raise ExperimentError("node_block_size must be >= 1")
     blocks = node_blocks(num_nodes, node_block_size)
     pipeline = rk_update_pipeline(primitives=True)
-    template = _ChainTemplate(
-        pipeline,
+    graph = pipeline.to_task_graph(
         design.rku_pipeline_stage_cycles(pipeline, num_nodes),
-        block_sizes=[block.size for block in blocks],
-    )
-    graph = template.instantiate(
-        dict(RK_UPDATE_TASK_NAMES),
-        None,
+        task_names=RK_UPDATE_TASK_NAMES,
         name=f"rku-exact-{design.options.name}",
+        block_sizes=[block.size for block in blocks],
         fill_cycles=design.rku_fill_cycles(),
     )
     return exact_cycles(graph, len(blocks))
@@ -584,18 +613,12 @@ def streamed_residual(
         If ``block_size < 1``, a shard is empty, or the partitions do
         not cover the mesh exactly.
     """
-    if pipeline is None:
-        pipeline = element_pipeline()
-    if block_size < 1:
-        raise ExperimentError("block_size must be >= 1")
     num_nodes = operator.mesh.num_nodes
     partitions = _element_partitions(
         operator.mesh.num_elements, num_cus, partitions
     )
-    num_cus = len(partitions)
-
     ctx = PipelineContext.from_operator(operator)
-    nodes_per_cu = nodes_per_compute_unit(num_nodes, num_cus)
+    pipeline = pipeline or element_pipeline()
     # Stream the state in the operator's storage dtype and assemble in
     # its accumulation dtype — the same precision policy the functional
     # residual's backend applies, so the two paths stay comparable in
@@ -607,47 +630,34 @@ def streamed_residual(
         np.zeros((NUM_CONSERVED, num_nodes), dtype=acc_dtype)
         for _ in partitions
     ]
-    subgraphs: list[DataflowGraph] = []
-    iterations: dict[str, int] = {}
-    for cu, (part, accumulator) in enumerate(zip(partitions, accumulators)):
-        blocks = element_blocks(part, block_size)
-        actions = streaming_actions(
-            pipeline, ctx, stacked, accumulator, blocks=blocks
-        )
-        graph = build_rkl_dataflow_graph(
-            design,
-            nodes_per_cu,
-            pipeline=pipeline,
-            actions=actions,
-            block_sizes=(
-                None if block_size == 1 else [block.size for block in blocks]
-            ),
-            task_names=None if num_cus == 1 else _cu_task_names(cu),
-            name=(
-                f"rkl-{design.options.name}"
-                if num_cus == 1
-                else f"rkl-{design.options.name}-cu{cu}"
-            ),
-        )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-    if num_cus == 1:
-        graph = subgraphs[0]
-    else:
-        graph = merge_graphs(
-            f"rkl-{design.options.name}-{num_cus}cu", subgraphs
-        )
+    graph, iterations, _ = _rkl_stage(
+        design,
+        num_nodes,
+        partitions,
+        block_size,
+        pipeline,
+        f"rkl-{design.options.name}",
+        actions=lambda cu, blocks: streaming_actions(
+            pipeline, ctx, stacked, accumulators[cu], blocks=blocks
+        ),
+    )
     trace = DataflowSimulator(graph).run(iterations, engine=engine)
-    # Reduce the per-CU partial residuals before finalization, rounding
-    # to the storage dtype exactly once (the mixed-mode semantics of the
-    # backends' scatter-add).
+    return _finalized(operator, accumulators, stacked.dtype), trace
+
+
+def _finalized(operator, accumulators, dtype) -> np.ndarray:
+    """Reduce per-CU partial residuals, then finalize the total.
+
+    The partials are summed in CU order and rounded to ``dtype`` exactly
+    once (the mixed-mode semantics of the backends' scatter-add) before
+    the operator's mass inversion and wall conditions.
+    """
     total = accumulators[0]
     for accumulator in accumulators[1:]:
         total = total + accumulator
-    if total.dtype != stacked.dtype:
-        total = total.astype(stacked.dtype)
-    return operator.finalize_residual(total), trace
+    if total.dtype != dtype:
+        total = total.astype(dtype)
+    return operator.finalize_residual(total)
 
 
 @dataclass
@@ -786,14 +796,11 @@ def cosimulate_small_mesh(
         kinetic = result.records[-1].kinetic_energy
         drift = result.mass_drift()
 
-    nodes_per_cu = nodes_per_compute_unit(mesh.num_nodes, num_cus)
-    analytic = max(
-        analytic_block_cycles(
-            design,
-            nodes_per_cu,
-            [block.size for block in element_blocks(part, block_size)],
-        )
-        for part in partition_elements_balanced(mesh.num_elements, num_cus)
+    analytic = analytic_rkl_stage_cycles(
+        design,
+        mesh.num_nodes,
+        partition_elements_balanced(mesh.num_elements, num_cus),
+        block_size,
     )
     return CosimResult(
         trace=trace,
@@ -811,93 +818,6 @@ def cosimulate_small_mesh(
 # ---------------------------------------------------------------------------
 # Full RK-step co-simulation: RKL element streams chained into RKU
 # ---------------------------------------------------------------------------
-
-
-def _latency_with_fill(base, fill: float):
-    """A task latency with a kernel-launch fill on iteration 0.
-
-    The RKU closed form charges the five update loops' pipeline depths
-    (plus SLL crossings) once per launch; the streamed chain pays the
-    same constant on its first token. Constant and block-scaled models
-    stay :class:`~repro.dataflow.task.BlockLatency` instances so the
-    vectorized schedule engine can still evaluate them in bulk.
-    """
-    extra = max(0, round(fill))
-    if extra == 0:
-        return base
-    if isinstance(base, BlockLatency):
-        return BlockLatency(
-            base.cycles_per_unit, base.sizes, base.first_extra + extra
-        )
-    if callable(base):
-
-        def latency(iteration: int, base=base, extra=extra) -> int:
-            return int(base(iteration)) + (extra if iteration == 0 else 0)
-
-        return latency
-    return BlockLatency(int(base), None, extra)
-
-
-class _ChainTemplate:
-    """One streamed task chain, lowered once and instantiated cheaply.
-
-    The full-step co-simulation runs the *same* chain structure many
-    times — one RKL chain per compute unit per RK stage (per step), one
-    combination chain per stage — differing only in task names, payload
-    actions and sequencing. Lowering the operator pipeline once per
-    distinct structure (per-CU block sizes, node block sizes) and
-    rebinding per instance removes the per-stage ``to_task_graph`` /
-    role-grouping cost from the hot path.
-    """
-
-    def __init__(
-        self,
-        pipeline: OperatorPipeline,
-        stage_cycles,
-        block_sizes=None,
-    ) -> None:
-        lowered = pipeline.to_task_graph(
-            stage_cycles, name="template", block_sizes=block_sizes
-        )
-        self.spec = [
-            (lowered.tasks[name].kind, lowered.tasks[name].latency)
-            for name in lowered.topological_order()
-        ]
-
-    def instantiate(
-        self,
-        task_names,
-        actions,
-        name: str,
-        depends_on: tuple[str, ...] = (),
-        fill_cycles: float = 0.0,
-    ) -> DataflowGraph:
-        """A fresh graph with this chain's structure and latencies."""
-        tasks = [
-            Task(
-                task_names[role],
-                (
-                    _latency_with_fill(latency, fill_cycles)
-                    if index == 0
-                    else latency
-                ),
-                kind=role,
-                action=None if actions is None else actions.get(role),
-                depends_on=depends_on if index == 0 else (),
-            )
-            for index, (role, latency) in enumerate(self.spec)
-        ]
-        graph = DataflowGraph(name=name)
-        graph.chain(tasks)
-        return graph
-
-
-def _rku_task_names(prefix: str) -> dict[str, str]:
-    """Role -> task-name mapping of one RKU chain instance."""
-    return {
-        role: f"{prefix}.{base}"
-        for role, base in RK_UPDATE_TASK_NAMES.items()
-    }
 
 
 @dataclass
@@ -954,14 +874,14 @@ class RKStepCosimResult:
         )
 
 
-def _chain_window_cycles(
-    trace: SimulationTrace, load_names: list[str], store_names: list[str]
-) -> int:
-    """Cycles one task chain occupied: first LOAD start to last STORE
-    finish, on the shared simulator clock."""
-    first = min(trace.stats(name).first_start or 0 for name in load_names)
-    last = max(trace.stats(name).last_finish or 0 for name in store_names)
-    return last - first
+def _window_cycles(trace: SimulationTrace, graph: DataflowGraph) -> int:
+    """Cycles a graph of task chains occupied on the shared simulator
+    clock: first LOAD start to last STORE finish (no other task of a
+    chain starts earlier or finishes later)."""
+    stats = [trace.stats(name) for name in graph.tasks]
+    return max(st.last_finish or 0 for st in stats) - min(
+        st.first_start or 0 for st in stats
+    )
 
 
 def cosimulate_rk_stage(
@@ -1063,8 +983,6 @@ def cosimulate_rk_stage(
 
     if case is None:
         case = DEFAULT_TGV
-    if block_size < 1:
-        raise ExperimentError("block_size must be >= 1")
     if node_block_size < 1:
         raise ExperimentError("node_block_size must be >= 1")
     if num_steps < 1:
@@ -1084,7 +1002,6 @@ def cosimulate_rk_stage(
     num_stages = tableau.num_stages
     partitions = _element_partitions(mesh.num_elements, num_cus, partitions)
     num_cus = len(partitions)
-    nodes_per_cu = nodes_per_compute_unit(num_nodes, num_cus)
     blocks = node_blocks(num_nodes, node_block_size)
     node_sizes = [block.size for block in blocks]
 
@@ -1095,42 +1012,42 @@ def cosimulate_rk_stage(
     rkl_pipeline = element_pipeline()
     combine_pipeline = rk_update_pipeline(primitives=False)
     update_pipeline = rk_update_pipeline(primitives=True)
+    combine_cycles = design.rku_pipeline_stage_cycles(
+        combine_pipeline, num_nodes
+    )
+    update_cycles = design.rku_pipeline_stage_cycles(
+        update_pipeline, num_nodes
+    )
     rku_fill = design.rku_fill_cycles()
 
-    # The streaming lowerings, built ONCE: the task-chain structure and
-    # latencies are identical across RK stages (and steps) — only names,
-    # actions and sequencing differ per instance.
-    rkl_stage_cycles = design.pipeline_stage_cycles(rkl_pipeline, nodes_per_cu)
-    element_tokens = [element_blocks(part, block_size) for part in partitions]
-    rkl_templates = [
-        _ChainTemplate(
-            rkl_pipeline,
-            rkl_stage_cycles,
-            block_sizes=(
-                None
-                if block_size == 1
-                else [block.size for block in tokens]
-            ),
-        )
-        for tokens in element_tokens
-    ]
-    combine_template = _ChainTemplate(
-        combine_pipeline,
-        design.rku_pipeline_stage_cycles(combine_pipeline, num_nodes),
-        block_sizes=node_sizes,
-    )
-    update_template = _ChainTemplate(
-        update_pipeline,
-        design.rku_pipeline_stage_cycles(update_pipeline, num_nodes),
-        block_sizes=node_sizes,
-    )
-
     subgraphs: list[DataflowGraph] = []
+    rkl_graphs: list[DataflowGraph] = []
     iterations: dict[str, int] = {}
     previous_drain: tuple[str, ...] = ()
     out_state = y0
     out_primitives = np.empty((NUM_CONSERVED, num_nodes))
     shape = (NUM_CONSERVED, num_nodes)
+
+    def add_rku_chain(pipeline, stage_cycles, prefix, actions):
+        """Lower one node-stream chain behind ``previous_drain``;
+        returns it with its drain."""
+        names = {
+            role: f"{prefix}.{base}"
+            for role, base in RK_UPDATE_TASK_NAMES.items()
+        }
+        graph = pipeline.to_task_graph(
+            stage_cycles,
+            task_names=names,
+            actions=actions,
+            name=f"rkstep-{design.options.name}-{prefix}",
+            block_sizes=node_sizes,
+            depends_on=previous_drain,
+            fill_cycles=rku_fill,
+        )
+        iterations.update(dict.fromkeys(graph.tasks, len(blocks)))
+        subgraphs.append(graph)
+        return graph, (names["store"],)
+
     for step in range(num_steps):
         prefix = "" if num_steps == 1 else f"k{step}."
         # Whole-mesh staging arrays this step's chains hand to one
@@ -1152,17 +1069,13 @@ def cosimulate_rk_stage(
 
         def finalizer(stage: int, accumulators=accumulators, derivs=derivs):
             """Finalize stage ``stage``'s derivative when its consumer
-            launches: reduce the per-CU partials, invert the mass, apply
-            wall conditions — at the simulated instant the next kernel
-            starts, after the dependency guaranteed the RKL drain."""
+            launches, at the simulated instant the next kernel starts —
+            after the dependency guaranteed the RKL drain."""
 
             def prepare() -> None:
-                total = accumulators[stage][0]
-                for accumulator in accumulators[stage][1:]:
-                    total = total + accumulator
-                if total.dtype != storage:
-                    total = total.astype(storage)
-                derivs[stage][:] = operator.finalize_residual(total)
+                derivs[stage][:] = _finalized(
+                    operator, accumulators[stage], storage
+                )
 
             return prepare
 
@@ -1170,80 +1083,63 @@ def cosimulate_rk_stage(
             if stage > 0:
                 # Stage-combination node stream:
                 # y_s = y + dt * sum(a_sk d_k).
-                names = _rku_task_names(f"{prefix}s{stage}.update")
-                actions = rk_update_streaming_actions(
+                _, previous_drain = add_rku_chain(
                     combine_pipeline,
-                    rku_ctx,
-                    y_step,
-                    derivs[:stage],
-                    tableau.a[stage, :stage],
-                    dt,
-                    out_state=stage_states[stage],
-                    blocks=blocks,
-                    prepare=finalizer(stage - 1),
+                    combine_cycles,
+                    f"{prefix}s{stage}.update",
+                    rk_update_streaming_actions(
+                        combine_pipeline,
+                        rku_ctx,
+                        y_step,
+                        derivs[:stage],
+                        tableau.a[stage, :stage],
+                        dt,
+                        out_state=stage_states[stage],
+                        blocks=blocks,
+                        prepare=finalizer(stage - 1),
+                    ),
                 )
-                graph = combine_template.instantiate(
-                    names,
-                    actions,
-                    name=f"rkstep-{design.options.name}-{prefix}s{stage}-update",
-                    depends_on=previous_drain,
-                    fill_cycles=rku_fill,
-                )
-                for task_name in graph.tasks:
-                    iterations[task_name] = len(blocks)
-                subgraphs.append(graph)
-                previous_drain = (names["store"],)
             # RKL element streams of this stage, one chain per CU.
-            drains: list[str] = []
-            for cu in range(num_cus):
-                names = {
-                    role: f"{prefix}s{stage}.cu{cu}.{base}"
-                    for role, base in DEFAULT_TASK_NAMES.items()
-                }
-                actions = streaming_actions(
+            graph, counts, stores = _rkl_stage(
+                design,
+                num_nodes,
+                partitions,
+                block_size,
+                rkl_pipeline,
+                f"rkstep-{design.options.name}-{prefix}s{stage}",
+                prefix=f"{prefix}s{stage}.",
+                actions=lambda cu, tokens: streaming_actions(
                     rkl_pipeline,
                     ctx,
                     stage_states[stage],
                     accumulators[stage][cu],
-                    blocks=element_tokens[cu],
-                )
-                graph = rkl_templates[cu].instantiate(
-                    names,
-                    actions,
-                    name=f"rkstep-{design.options.name}-{prefix}s{stage}-cu{cu}",
-                    depends_on=previous_drain,
-                )
-                for task_name in graph.tasks:
-                    iterations[task_name] = len(element_tokens[cu])
-                drains.append(names["store"])
-                subgraphs.append(graph)
-            previous_drain = tuple(drains)
+                    blocks=tokens,
+                ),
+                depends_on=previous_drain,
+            )
+            iterations.update(counts)
+            subgraphs.append(graph)
+            rkl_graphs.append(graph)
+            previous_drain = tuple(stores)
         # The step's final RKU chain: b-row combination + primitive
         # update.
-        names = _rku_task_names(f"{prefix}rku")
-        actions = rk_update_streaming_actions(
+        rku_graph, previous_drain = add_rku_chain(
             update_pipeline,
-            rku_ctx,
-            y_step,
-            derivs,
-            tableau.b,
-            dt,
-            out_state=out_state,
-            out_primitives=out_primitives,
-            blocks=blocks,
-            prepare=finalizer(num_stages - 1),
+            update_cycles,
+            f"{prefix}rku",
+            rk_update_streaming_actions(
+                update_pipeline,
+                rku_ctx,
+                y_step,
+                derivs,
+                tableau.b,
+                dt,
+                out_state=out_state,
+                out_primitives=out_primitives,
+                blocks=blocks,
+                prepare=finalizer(num_stages - 1),
+            ),
         )
-        graph = update_template.instantiate(
-            names,
-            actions,
-            name=f"rkstep-{design.options.name}-{prefix}rku",
-            depends_on=previous_drain,
-            fill_cycles=rku_fill,
-        )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-        previous_drain = (names["store"],)
 
     merged = merge_graphs(
         f"rkstep-{design.options.name}-{num_cus}cu", subgraphs
@@ -1261,29 +1157,6 @@ def cosimulate_rk_stage(
             scale if scale > 0.0 else 1.0
         )
 
-    per_stage = tuple(
-        _chain_window_cycles(
-            trace,
-            [
-                f"{prefix}s{stage}.cu{cu}.{DEFAULT_TASK_NAMES['load']}"
-                for cu in range(num_cus)
-            ],
-            [
-                f"{prefix}s{stage}.cu{cu}.{DEFAULT_TASK_NAMES['store']}"
-                for cu in range(num_cus)
-            ],
-        )
-        for prefix in (
-            [""] if num_steps == 1 else [f"k{k}." for k in range(num_steps)]
-        )
-        for stage in range(num_stages)
-    )
-    last_prefix = "" if num_steps == 1 else f"k{num_steps - 1}."
-    rku_cycles = _chain_window_cycles(
-        trace,
-        [f"{last_prefix}rku.{RK_UPDATE_TASK_NAMES['load']}"],
-        [f"{last_prefix}rku.{RK_UPDATE_TASK_NAMES['store']}"],
-    )
     return RKStepCosimResult(
         trace=trace,
         final_state=FlowState.from_stacked(out_state),
@@ -1291,8 +1164,10 @@ def cosimulate_rk_stage(
         dt=dt,
         num_stages=num_stages,
         state_max_rel_err=state_err,
-        per_stage_rkl_cycles=per_stage,
-        rku_simulated_cycles=rku_cycles,
+        per_stage_rkl_cycles=tuple(
+            _window_cycles(trace, graph) for graph in rkl_graphs
+        ),
+        rku_simulated_cycles=_window_cycles(trace, rku_graph),
         rku_analytic_cycles=design.rku_step_cycles(num_nodes),
         num_compute_units=num_cus,
         block_size=block_size,

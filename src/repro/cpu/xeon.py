@@ -3,7 +3,7 @@
 Prices the solver workload (:mod:`repro.solver.workload`) phase by phase
 with :mod:`repro.cpu.roofline`. Per-phase effective rates are calibrated
 once against the paper's Fig. 2 breakdown and Section IV-B end-to-end
-numbers (see EXPERIMENTS.md); each constant's rationale:
+numbers (the paper-claim benchmarks check them); each constant's rationale:
 
 - **convection** — flux arithmetic with regular access; FMA-friendly, so
   the highest effective flop rate of the four phases;

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..accel.cosim import (
-    analytic_block_cycles,
+    analytic_rkl_stage_cycles,
     analytic_rku_step_cycles,
     cosimulate_rk_stage,
     exact_rkl_stage_cycles,
@@ -31,11 +31,10 @@ from ..accel.designs import (
     SHELL_RESOURCES,
     custom_design,
 )
-from ..accel.multi_cu import multi_cu_floorplan, nodes_per_compute_unit
+from ..accel.multi_cu import multi_cu_floorplan
 from ..errors import DSEError
 from ..fpga.device import device_by_name
 from ..fpga.floorplan import clock_for_floorplan
-from ..mesh.partition import element_blocks
 from ..pipeline.navier_stokes import navier_stokes_pipeline
 from ..timeint.butcher import RK4
 from .campaign import DesignPoint
@@ -249,27 +248,23 @@ def _result(
 def evaluate_closed_form(point: DesignPoint) -> PointResult:
     """Tier 1: the analytic block-token law, microseconds per point.
 
-    RKL stage cycles are the max over compute units of
-    :func:`~repro.accel.cosim.analytic_block_cycles` on the point's
+    RKL stage cycles are
+    :func:`~repro.accel.cosim.analytic_rkl_stage_cycles` on the point's
     element shards; RKU is the streamed chain's closed form
     (:func:`~repro.accel.cosim.analytic_rku_step_cycles`). The fusion
     axis does not move this tier (role-group sums are fusion-invariant
     by construction) — asserted as a property by the tier tests.
     """
     design = design_for(point)
-    nodes_per_cu = nodes_per_compute_unit(point.num_nodes, point.num_cus)
-    rkl_stage = max(
-        analytic_block_cycles(
-            design,
-            nodes_per_cu,
-            [block.size for block in element_blocks(part, point.block_size)],
-        )
-        for part in point.element_partitions()
-    )
     return _result(
         point,
         "closed-form",
-        rkl_stage,
+        analytic_rkl_stage_cycles(
+            design,
+            point.num_nodes,
+            point.element_partitions(),
+            point.block_size,
+        ),
         analytic_rku_step_cycles(design, point.num_nodes),
     )
 

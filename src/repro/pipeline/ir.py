@@ -293,6 +293,8 @@ class OperatorPipeline:
         actions: Mapping[str, Callable[[int, tuple], object]] | None = None,
         name: str | None = None,
         block_sizes: Sequence[int] | None = None,
+        depends_on: Sequence[str] = (),
+        fill_cycles: float = 0.0,
     ) -> DataflowGraph:
         """Lower the pipeline to a cycle-accurate dataflow task graph.
 
@@ -322,6 +324,14 @@ class OperatorPipeline:
             the ``fill + II * (tokens - 1)`` cycle law with the II
             scaled per block. ``None`` keeps one-element tokens with
             constant latency.
+        depends_on:
+            Kernel-sequencing dependencies of the chain's entry task
+            (:attr:`~repro.dataflow.task.Task.depends_on`): the tasks
+            whose drain this chain's launch waits for.
+        fill_cycles:
+            Kernel-launch fill charged once, on the entry task's first
+            token (:attr:`~repro.dataflow.task.BlockLatency.first_extra`,
+            rounded to whole cycles).
 
         Returns
         -------
@@ -345,9 +355,10 @@ class OperatorPipeline:
                     f"pipeline {self.name!r}: block sizes must be >= 1, "
                     f"got {block_sizes}"
                 )
+        fill = max(0, round(fill_cycles))
         graph = DataflowGraph(name=name or f"pipeline-{self.name}")
         tasks: list[Task] = []
-        for role, stages in self.role_groups():
+        for index, (role, stages) in enumerate(self.role_groups()):
             missing = [s.name for s in stages if s.name not in stage_cycles]
             if missing:
                 raise PipelineError(
@@ -355,7 +366,8 @@ class OperatorPipeline:
                     f"stage(s) {missing}"
                 )
             per_element = sum(stage_cycles[s.name] for s in stages)
-            if block_sizes is None:
+            first_extra = fill if index == 0 else 0
+            if block_sizes is None and not first_extra:
                 latency: int | Callable[[int], int] = max(
                     1, round(per_element)
                 )
@@ -363,7 +375,7 @@ class OperatorPipeline:
                 # A vectorizable latency model: per-element role cycles
                 # scaled by each token's block size, evaluated in bulk
                 # by the schedule engine.
-                latency = BlockLatency(per_element, block_sizes)
+                latency = BlockLatency(per_element, block_sizes, first_extra)
 
             tasks.append(
                 Task(
@@ -371,6 +383,7 @@ class OperatorPipeline:
                     latency,
                     kind=role,
                     action=None if actions is None else actions.get(role),
+                    depends_on=depends_on if index == 0 else (),
                 )
             )
         graph.chain(tasks)

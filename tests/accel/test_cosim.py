@@ -8,10 +8,7 @@ from repro.accel.cosim import (
     build_rkl_dataflow_graph,
     cosimulate_small_mesh,
     design_timing,
-    end_to_end_step_seconds,
     per_cu_simulated_cycles,
-    rk_method_seconds,
-    rk_step_seconds,
     streamed_residual,
 )
 from repro.errors import ExperimentError
@@ -29,23 +26,9 @@ class TestAnalyticTiming:
         timing = design_timing(proposed, 8_000)
         assert timing.num_elements == 1_000
 
-    def test_method_seconds_scales_with_steps(self, proposed):
-        one = rk_method_seconds(proposed, 100_000, 1)
-        ten = rk_method_seconds(proposed, 100_000, 10)
-        assert ten == pytest.approx(10 * one)
-
-    def test_end_to_end_includes_host(self, proposed):
-        base = rk_step_seconds(proposed, 100_000)
-        total = end_to_end_step_seconds(proposed, 100_000, 0.5, 0.01)
-        assert total == pytest.approx(base + 0.51)
-
     def test_invalid_inputs(self, proposed):
         with pytest.raises(ExperimentError):
             design_timing(proposed, 0)
-        with pytest.raises(ExperimentError):
-            rk_method_seconds(proposed, 1000, 0)
-        with pytest.raises(ExperimentError):
-            end_to_end_step_seconds(proposed, 1000, -1.0)
 
 
 class TestDataflowGraph:

@@ -14,6 +14,8 @@ from repro.accel.cosim import (
     cosimulate_rk_stage,
     design_timing,
     design_timing_from_rk_cosim,
+    exact_rkl_stage_cycles,
+    exact_rku_step_cycles,
 )
 from repro.errors import ExperimentError
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
@@ -197,6 +199,42 @@ class TestRKUTrace:
         assert timing.rk_step_seconds == pytest.approx(
             timing.rkl_seconds_per_stage * 4 + timing.rku_seconds_per_step
         )
+
+
+class TestExactTier:
+    """The payload-free schedule solve prices exactly the chains the
+    payload co-simulation runs: every stage window and the RKU window
+    are equal, not merely within the tier-agreement bound."""
+
+    @pytest.mark.parametrize(
+        "block_size, num_cus, num_steps, rkl, rku",
+        [(4, 2, 2, 1904, 7491), (5, 3, 1, 1476, 7491)],
+    )
+    def test_exact_cycles_equal_cosim_windows(
+        self, proposed, block_size, num_cus, num_steps, rkl, rku
+    ):
+        mesh = periodic_box_mesh(3, 3)
+        result = cosimulate_rk_stage(
+            proposed,
+            mesh,
+            block_size=block_size,
+            num_cus=num_cus,
+            num_steps=num_steps,
+            verify=False,
+        )
+        exact_rkl = exact_rkl_stage_cycles(
+            proposed,
+            mesh.num_nodes,
+            mesh.num_elements,
+            block_size=block_size,
+            num_cus=num_cus,
+        )
+        assert exact_rkl == rkl
+        assert result.per_stage_rkl_cycles == (rkl,) * (
+            num_steps * result.num_stages
+        )
+        assert exact_rku_step_cycles(proposed, mesh.num_nodes) == rku
+        assert result.rku_simulated_cycles == rku
 
 
 class TestValidation:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dataflow.graph import merge_graphs
+from repro.dataflow.simulator import DataflowSimulator
 from repro.errors import PipelineError
 from repro.pipeline import (
     OperatorPipeline,
@@ -222,3 +224,62 @@ class TestLowering:
             "cu1.compute_diffusion_convection",
             "cu1.store_element_contribution",
         ]
+
+
+class TestEntrySequencing:
+    """``depends_on=`` and ``fill_cycles=`` land on the chain's entry
+    task only, and the fill on its first token only."""
+
+    CYCLES = {s.name: 10.0 for s in element_pipeline().stages}
+
+    def test_constant_latency(self):
+        graph = element_pipeline().to_task_graph(
+            self.CYCLES, depends_on=("upstream",), fill_cycles=7.4
+        )
+        load = graph.tasks["load_element"]
+        compute = graph.tasks["compute_diffusion_convection"]
+        store = graph.tasks["store_element_contribution"]
+        assert load.depends_on == ("upstream",)
+        assert compute.depends_on == store.depends_on == ()
+        assert [load.latency_at(i) for i in range(3)] == [17, 10, 10]
+        assert [compute.latency_at(i) for i in range(3)] == [20, 20, 20]
+        assert list(load.latency_array(3)) == [17, 10, 10]
+
+    def test_block_latency(self):
+        graph = element_pipeline().to_task_graph(
+            self.CYCLES, block_sizes=[4, 4, 3], fill_cycles=5
+        )
+        load = graph.tasks["load_element"]
+        compute = graph.tasks["compute_diffusion_convection"]
+        assert [load.latency_at(i) for i in range(3)] == [45, 40, 30]
+        assert list(load.latency_array(3)) == [45, 40, 30]
+        assert [compute.latency_at(i) for i in range(3)] == [80, 80, 60]
+
+    def test_no_fill_keeps_the_constant_latency(self):
+        graph = element_pipeline().to_task_graph(self.CYCLES, fill_cycles=0.4)
+        assert graph.tasks["load_element"].latency == 10
+
+    def test_event_and_vectorized_traces_identical(self):
+        def names(prefix):
+            return {
+                role: f"{prefix}.{role}"
+                for role in ("load", "compute", "store")
+            }
+
+        pipeline = element_pipeline()
+        first = pipeline.to_task_graph(self.CYCLES, task_names=names("a"))
+        second = pipeline.to_task_graph(
+            self.CYCLES,
+            task_names=names("b"),
+            block_sizes=[2, 2, 1],
+            depends_on=("a.store",),
+            fill_cycles=9,
+        )
+        graph = merge_graphs("sequenced", [first, second])
+        event = DataflowSimulator(graph).run(3, engine="event")
+        vectorized = DataflowSimulator(graph).run(3, engine="vectorized")
+        assert event.total_cycles == vectorized.total_cycles
+        assert event.task_stats == vectorized.task_stats
+        load = event.stats("b.load")
+        assert load.first_start == event.stats("a.store").last_finish
+        assert load.finish_times[0] - load.first_start == 2 * 10 + 9

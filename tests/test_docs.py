@@ -7,6 +7,7 @@ registered smoke command — enforced on every local run too.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +27,21 @@ def test_readme_exists_and_references_resolve():
     assert (REPO_ROOT / "README.md").exists(), "root README.md is missing"
     missing = smoke.check_readme()
     assert not missing, f"README.md references missing files: {missing}"
+
+
+def test_markdown_files_named_in_code_exist():
+    """Every ``*.md`` file a module, test, tool or example cites exists."""
+    docs = [
+        p.relative_to(REPO_ROOT).as_posix() for p in REPO_ROOT.rglob("*.md")
+    ]
+    missing = []
+    for folder in ("src", "benchmarks", "tests", "tools", "examples"):
+        for path in sorted((REPO_ROOT / folder).rglob("*.py")):
+            for name in re.findall(r"[\w./-]+\.md\b", path.read_text()):
+                name = name.lstrip("./")
+                if not any(d == name or d.endswith(f"/{name}") for d in docs):
+                    missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert not missing, f"references to missing markdown files: {missing}"
 
 
 def test_readme_maps_every_package():
