@@ -4,8 +4,8 @@ Times a full co-simulated RK step on the 512-element (8^3, p=3) TGV
 mesh two ways:
 
 1. **PR-8 config** — the tier as the previous PR ran it: the redundant
-   functional verification solve on, payload kernels on the default
-   (reference) backend, every schedule solved afresh.
+   functional verification solve on, payload kernels on the reference
+   backend, every schedule solved afresh.
 2. **fast path** — ``verify=False``, payloads routed to the ``fast``
    backend's batched ``_many`` kernels, compiled-schedule cache warm.
 
@@ -87,7 +87,7 @@ def cosim_times(proposed):
     """
     configs = {
         "pr8_config": lambda: _cosim(
-            proposed, verify=True, backend=None, caches=False
+            proposed, verify=True, backend="reference", caches=False
         ),
         "fast_path": lambda: _cosim(
             proposed, verify=False, backend="fast", caches=True
@@ -120,7 +120,9 @@ def test_fast_path_state_is_bitwise_identical(proposed):
     assert checked.state_max_rel_err < 1e-12
     assert fast.state_max_rel_err is None
 
-    baseline = _cosim(proposed, verify=True, backend=None, caches=False)
+    baseline = _cosim(
+        proposed, verify=True, backend="reference", caches=False
+    )
     assert np.array_equal(
         fast.final_state.as_stacked(), baseline.final_state.as_stacked()
     )
@@ -149,7 +151,8 @@ def ladder_times():
     results = {}
     specs = {
         "pr8_config": CampaignSpec(
-            name="fastpath-before", axes=CAMPAIGN_AXES, cosim_verify=True
+            name="fastpath-before", axes=CAMPAIGN_AXES, cosim_verify=True,
+            backend="reference",
         ),
         "fast_path": CampaignSpec(
             name="fastpath-after", axes=CAMPAIGN_AXES, backend="fast"

@@ -726,7 +726,7 @@ def cosimulate_small_mesh(
         Time steps of the functional solve.
     backend:
         Compute backend for both paths (``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then ``"reference"``).
+        ``REPRO_BACKEND`` environment variable, then ``"fast"``).
     case / initial_state:
         The physics (defaults: the TGV case on its standard initial
         condition), so wall-bounded workloads such as the channel shear

@@ -10,16 +10,17 @@ Built-in backends:
 
 - ``"reference"`` — the original numpy kernels, bit-identical to the
   pre-backend code path; the correctness oracle.
-- ``"fast"`` — cached einsum contraction paths, preallocated
-  workspaces, and truly batched many-field kernels; validated against
-  ``"reference"`` to 1e-10 relative error by the parity suite.
+- ``"fast"`` — the default: cached einsum contraction paths,
+  preallocated workspaces, and truly batched many-field kernels;
+  validated against ``"reference"`` to 1e-10 relative error by the
+  parity suite.
 - ``"threaded"`` — a thread pool that shards element batches across
   cores (the multi-CU partitioning applied to host threads), running
   the ``"fast"`` kernels per shard with shared, copy-free outputs and a
   deterministic fixed-order scatter reduction.
 
 Selection precedence: explicit argument > ``REPRO_BACKEND`` environment
-variable > ``"reference"``. Parallel worker counts: explicit
+variable > ``"fast"``. Parallel worker counts: explicit
 ``num_workers`` > ``REPRO_NUM_WORKERS`` > CPU count. Every backend is
 dtype-preserving and takes a ``precision`` policy (explicit argument >
 ``REPRO_DTYPE`` > ``"float64"``, see :mod:`repro.precision`) that picks

@@ -2,7 +2,8 @@
 
 The solver asks for a backend by name; the name comes from (in priority
 order) an explicit argument, the ``SolverConfig.backend`` field, or the
-``REPRO_BACKEND`` environment variable, falling back to ``"reference"``.
+``REPRO_BACKEND`` environment variable, falling back to ``"fast"``
+(``"reference"`` stays the oracle the parity suite checks it against).
 Third-party backends (numba, jax, ...) register themselves with
 :func:`register_backend` and become selectable everywhere — examples,
 experiments, co-simulation — without further wiring.
@@ -24,8 +25,9 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: (parallel backends only).
 WORKERS_ENV_VAR = "REPRO_NUM_WORKERS"
 
-#: The backend used when nothing selects one explicitly.
-DEFAULT_BACKEND = "reference"
+#: The backend used when nothing selects one explicitly: the fastest
+#: measured one.
+DEFAULT_BACKEND = "fast"
 
 _REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
 

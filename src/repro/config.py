@@ -112,7 +112,7 @@ class SolverConfig:
         Name of the compute backend executing the FEM hot kernels
         (``"reference"``, ``"fast"``, or any name registered with
         :func:`repro.backend.register_backend`). ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then ``"reference"``.
+        ``REPRO_BACKEND`` environment variable, then ``"fast"``.
         Resolved lazily — validation of the *name* happens when a solver
         asks the registry for it, so configs can be built before custom
         backends register.

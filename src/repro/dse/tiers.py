@@ -309,8 +309,9 @@ def evaluate_cosim(
     the recorded ``state_max_rel_err`` proves it against the functional
     solver. The point's ``precision`` axis lands here: the streamed
     payloads run under that mode (the timing tiers are
-    precision-invariant — cycles price token counts, not dtypes — so
-    only this tier's recorded state error moves with it).
+    precision-invariant — cycles price token counts, not dtypes). The
+    checking solve is the default fused step under the same policy, so
+    the recorded error is exactly zero in every precision.
 
     ``backend`` selects the compute backend the streamed payload
     actions run on (``None`` defers to ``REPRO_BACKEND``/default) —

@@ -10,14 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PhysicsError
-from .workspace import WorkspacePool
 
 
-def stress_tensor(
-    grad_u: np.ndarray,
-    viscosity: float,
-    pool: WorkspacePool | None = None,
-) -> np.ndarray:
+def stress_tensor(grad_u: np.ndarray, viscosity: float) -> np.ndarray:
     """Viscous stress from the velocity gradient.
 
     Parameters
@@ -26,29 +21,25 @@ def stress_tensor(
         ``(..., 3, 3)`` with ``grad_u[..., i, j] = du_i / dx_j``.
     viscosity:
         Dynamic viscosity ``mu``.
-    pool:
-        Optional workspace pool; the symmetrized gradient and the
-        returned tensor live in its buffers, so the caller must consume
-        the result before its next same-shape call on that pool.
-        Without one, a throwaway pool makes the result fresh.
 
     Returns
     -------
-    ``(..., 3, 3)`` symmetric stress tensor.
+    ``(..., 3, 3)`` symmetric stress tensor: a view of a fresh
+    ``(3, 3, ...)`` buffer whose ``[i, j]`` component planes are
+    contiguous.
     """
     grad_u = np.asarray(grad_u)
     if grad_u.shape[-2:] != (3, 3):
         raise PhysicsError(f"grad_u must end in (3, 3), got {grad_u.shape}")
-    if pool is None:
-        pool = WorkspacePool()
-    div_u = np.trace(grad_u, axis1=-2, axis2=-1)
-    sym = pool.get("viscous.sym", grad_u.shape, grad_u.dtype)
-    np.add(grad_u, np.swapaxes(grad_u, -1, -2), out=sym)
-    tau = pool.get("viscous.tau", grad_u.shape, grad_u.dtype)
-    np.multiply(viscosity, sym, out=tau)
-    idx = np.arange(3)
-    tau[..., idx, idx] -= (2.0 / 3.0) * viscosity * div_u[..., None]
-    return tau
+    grad = np.moveaxis(grad_u, (-2, -1), (0, 1))
+    tau = grad + np.swapaxes(grad, 0, 1)
+    tau *= viscosity
+    bulk = grad[0, 0] + grad[1, 1]
+    bulk += grad[2, 2]
+    bulk *= (2.0 / 3.0) * viscosity
+    for i in range(3):
+        tau[i, i] -= bulk
+    return np.moveaxis(tau, (0, 1), (-2, -1))
 
 
 def viscous_dissipation(grad_u: np.ndarray, viscosity: float) -> np.ndarray:

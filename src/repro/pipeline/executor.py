@@ -234,8 +234,10 @@ def streaming_actions(
         (:mod:`repro.dataflow.schedule`) calls once per task instead of
         once per token: the same stages over the concatenation of all
         blocks, numerically the per-token stream in one numpy call
-        (scatter order included, since ``np.add.at`` applies the
-        concatenated indices in block order).
+        (scatter order included: the batched STORE adds the
+        concatenated contributions in block order, with one
+        ``bincount`` into a zero float64 accumulator and ``np.add.at``
+        otherwise).
 
     Raises
     ------
@@ -274,22 +276,37 @@ def streaming_actions(
             )
         return batch_ctx_cache[count]
 
-    def run_group(ectx, stages, exported, role, env, count=None):
+    def run_group(ectx, stages, exported, role, env, batched=False):
         """Execute one role group against ``env``; dict of exports."""
         if role == "store":
-            # The STORE kernel's read-modify-write, restricted to the
-            # streamed nodes: a block touches B*Q node slots, so the
-            # dense (5, N) scatter the batched kernel produces would
-            # make streaming quadratic in mesh size.
             for stage in stages:
                 res = env[stage.inputs[0]]  # (F, B, Q)
                 start = int(stage.param("field_start", 0))
+                rows = accumulator[start : start + res.shape[0]]
+                if batched and rows.dtype == np.float64 and not rows.any():
+                    # The whole stream into a zero f64 accumulator: one
+                    # bincount over the fused (field, node) index, the
+                    # backends' scatter_add_many rule. It adds each
+                    # node's contributions in the order np.add.at would,
+                    # starting from the same zero, so the sums are
+                    # bitwise the per-token ones.
+                    num_fields, num_nodes = rows.shape
+                    index = (
+                        np.arange(num_fields)[:, None] * num_nodes
+                        + ectx.connectivity.ravel()
+                    ).ravel()
+                    rows += np.bincount(
+                        index,
+                        weights=res.ravel(),
+                        minlength=num_fields * num_nodes,
+                    ).reshape(num_fields, num_nodes)
+                    continue
+                # The STORE kernel's read-modify-write, restricted to the
+                # streamed nodes: a block touches B*Q node slots, so the
+                # dense (5, N) scatter the batched kernel produces would
+                # make per-token streaming quadratic in mesh size.
                 for field in range(res.shape[0]):
-                    np.add.at(
-                        accumulator[start + field],
-                        ectx.connectivity,
-                        res[field],
-                    )
+                    np.add.at(rows[field], ectx.connectivity, res[field])
             return None
         for stage in stages:
             _run_stage(ectx, stage, env)
@@ -327,7 +344,7 @@ def streaming_actions(
             for payload in inputs:
                 env.update(payload)
             result = run_group(
-                batch_ctx(count), stages, exported, role, env
+                batch_ctx(count), stages, exported, role, env, batched=True
             )
             if role == "store":
                 return [None] * count  # per-token sink values

@@ -16,7 +16,7 @@ the backend is the *how*.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ..physics.fluxes import (
 )
 from ..physics.gas import GasProperties
 from ..physics.state import NUM_CONSERVED
-from ..physics.workspace import WorkspacePool
 from .ir import Stage
 
 KernelFn = Callable[..., tuple[np.ndarray, ...]]
@@ -72,11 +71,6 @@ class PipelineContext:
     ref: ReferenceHex
     gas: GasProperties
     backend: KernelBackend
-    #: Scratch buffers for the flux kernels' per-stage temporaries.
-    #: Element/block views share the parent's pool (``replace`` copies
-    #: the reference), so one solve reuses the same workspaces across
-    #: every stage, step and streamed block.
-    workspace: WorkspacePool = field(default_factory=WorkspacePool)
 
     @classmethod
     def from_operator(cls, operator) -> "PipelineContext":
@@ -169,16 +163,10 @@ def _viscous_flux_set(
     """
     fields = np.concatenate([velocity, temperature[None]], axis=0)
     grads = ctx.backend.physical_gradient_many(fields, ctx.geom, ctx.ref)
+    del fields  # freed before the viscous temporaries: a lower stage peak
     grad_u = np.moveaxis(grads[:3], 0, 2)  # (E, Q, i, j) = du_i/dx_j
     grad_t = grads[3]
-    return viscous_fluxes(velocity, grad_u, grad_t, ctx.gas, ctx.workspace)
-
-
-def _stack_viscous(fluxes: FluxSet) -> np.ndarray:
-    """``(4, E, Q, 3)`` momentum + energy viscous fluxes (no mass flux)."""
-    return np.stack(
-        [fluxes.momentum[..., i, :] for i in range(3)] + [fluxes.energy]
-    )
+    return viscous_fluxes(velocity, grad_u, grad_t, ctx.gas)
 
 
 def pad_to_conserved(values: np.ndarray, field_start: int) -> np.ndarray:
@@ -212,11 +200,7 @@ def _convective_flux(ctx: PipelineContext, stage: Stage, state_elem: np.ndarray)
     rho, velocity, pressure, _temperature, total_energy = element_primitives(
         state_elem, ctx.gas
     )
-    return (
-        convective_fluxes(
-            rho, velocity, pressure, total_energy, ctx.workspace
-        ).stacked(),
-    )
+    return (convective_fluxes(rho, velocity, pressure, total_energy).stacked(),)
 
 
 @register_pipeline_kernel("viscous_flux")
@@ -229,7 +213,7 @@ def _viscous_flux(ctx: PipelineContext, stage: Stage, state_elem: np.ndarray):
     _rho, velocity, _pressure, temperature, _total_energy = element_primitives(
         state_elem, ctx.gas
     )
-    return (_stack_viscous(_viscous_flux_set(ctx, velocity, temperature)),)
+    return (_viscous_flux_set(ctx, velocity, temperature).stacked()[1:],)
 
 
 @register_pipeline_kernel("combined_flux")
@@ -238,16 +222,18 @@ def _combined_flux(ctx: PipelineContext, stage: Stage, state_elem: np.ndarray):
 
     One primitive conversion feeds both flux families — the element-level
     arithmetic sharing of the accelerator's merged diffusion+convection
-    COMPUTE module.
+    COMPUTE module. The result is the direction-last view of the one
+    fresh ``(5, E, 3, Q)`` plane buffer the convective fluxes are written
+    into and the viscous fluxes subtracted from.
     """
     rho, velocity, pressure, temperature, total_energy = element_primitives(
         state_elem, ctx.gas
     )
-    conv = convective_fluxes(
-        rho, velocity, pressure, total_energy, ctx.workspace
-    )
+    # Viscous first: its gradients are freed before the flux buffer is
+    # allocated, which keeps the stage's peak memory down.
     visc = _viscous_flux_set(ctx, velocity, temperature)
-    return (combined_rhs_fluxes(conv, visc, ctx.workspace).stacked(),)
+    conv = convective_fluxes(rho, velocity, pressure, total_energy)
+    return (combined_rhs_fluxes(conv, visc).stacked(),)
 
 
 @register_pipeline_kernel("weak_divergence")
@@ -261,7 +247,7 @@ def _weak_divergence(ctx: PipelineContext, stage: Stage, flux: np.ndarray):
     sign = float(stage.param("sign", -1.0))
     div = ctx.backend.weak_divergence_many(flux, ctx.geom, ctx.ref)
     if sign != 1.0:
-        div = sign * div
+        div *= sign  # backends return fresh arrays
     return (div,)
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..solver.navier_stokes import DEFAULT_FUSION
 from .modes import PrecisionPolicy
 
 #: Relative floor used when a reference field is identically zero.
@@ -196,7 +197,7 @@ def error_growth_report(
     num_workers: int | None = None,
     case=None,
     dt: float | None = None,
-    fusion: str = "none",
+    fusion: str = DEFAULT_FUSION,
 ) -> ErrorGrowthReport:
     """Step TGV in ``dtype`` and in float64, reporting error growth.
 

@@ -27,8 +27,9 @@ pipeline (:mod:`repro.pipeline.rewrites`), not a separate code path:
 - ``"full"`` — one gather, the convective and viscous fluxes combined
   per node, one weak divergence and one scatter-add for the summed
   residual: the software analogue of the accelerator's merged
-  diffusion+convection COMPUTE module. Fastest; phase attribution of the
-  shared stages degrades to RK(Other).
+  diffusion+convection COMPUTE module. The default, and the fastest;
+  phase attribution of the shared stages degrades to RK(Other), so the
+  Fig. 2 profiles pin ``"none"``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from .profiler import PhaseProfiler
 #: Valid values of the ``fusion`` parameter.
 FUSION_MODES = ("none", "gather", "full")
 
+#: The fusion level used when none is given: the merged COMPUTE module.
+DEFAULT_FUSION = "full"
+
 
 class NavierStokesOperator:
     """Semi-discrete right-hand side ``dq/dt = L(q)`` on a hex mesh.
@@ -71,7 +75,8 @@ class NavierStokesOperator:
         ``rk.convection`` and ``rk.other`` are attributed per pipeline
         stage as in the paper's Fig. 2.
     fusion:
-        One of :data:`FUSION_MODES` (default ``"none"``).
+        One of :data:`FUSION_MODES` (default :data:`DEFAULT_FUSION`,
+        ``"full"``).
     backend:
         Compute backend for the hot kernels: a name (``"reference"``,
         ``"fast"``, ``"threaded"``), a
@@ -96,7 +101,7 @@ class NavierStokesOperator:
         mesh: HexMesh,
         gas: GasProperties,
         profiler: PhaseProfiler | None = None,
-        fusion: str = "none",
+        fusion: str = DEFAULT_FUSION,
         backend: str | KernelBackend | None = None,
         num_workers: int | None = None,
         dtype: str | PrecisionPolicy | None = None,

@@ -33,7 +33,7 @@ from ..physics.taylor_green import TGVCase, taylor_green_initial
 from ..pipeline import RKUpdateContext, rk_update_pipeline, run_pipeline
 from ..timeint.butcher import RK4, ButcherTableau
 from ..timeint.cfl import stable_time_step
-from .navier_stokes import NavierStokesOperator
+from .navier_stokes import DEFAULT_FUSION, NavierStokesOperator
 from .profiler import PhaseProfiler
 
 
@@ -142,7 +142,7 @@ class Simulation:
         profiler: PhaseProfiler | None = None,
         initial_state: FlowState | None = None,
         cfl: float = 0.5,
-        fusion: str = "none",
+        fusion: str = DEFAULT_FUSION,
         backend=None,
         num_workers: int | None = None,
         dtype=None,

@@ -22,10 +22,10 @@ class TestResolution:
         assert "reference" in available_backends()
         assert "fast" in available_backends()
 
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_is_fast(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name() == "reference"
-        assert isinstance(get_backend(), ReferenceBackend)
+        assert resolve_backend_name() == "fast"
+        assert isinstance(get_backend(), FastBackend)
 
     def test_explicit_name_wins(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "reference")

@@ -62,7 +62,7 @@ class TestFloat32Determinism:
 
 
 class TestCosimPrecisionParity:
-    @pytest.mark.parametrize("dtype", ("float32", "mixed"))
+    @pytest.mark.parametrize("dtype", ("float64", "float32", "mixed"))
     def test_streamed_step_is_bitwise_the_functional_step(self, dtype):
         """The co-simulated RK step under reduced precision equals
         ``Simulation.step`` with the fused operator *bitwise* — the

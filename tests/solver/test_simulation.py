@@ -43,11 +43,27 @@ class TestRun:
         assert series[:, 1].max() < 0.25  # TGV starts at 0.125
         assert series[:, 1].min() > 0.05
 
-    def test_profiler_sees_all_categories(self, short_run):
-        sim, _result = short_run
+    def test_profiler_sees_all_categories(self):
+        """The separate diffusion/convection phases of the paper's Fig. 2
+        come from the unfused passes (the default fused pass folds both
+        into RK(Other))."""
+        from repro.mesh.hexmesh import periodic_box_mesh
+
+        sim = Simulation(periodic_box_mesh(3, 2), DEFAULT_TGV, fusion="none")
+        sim.run(1)
         totals = sim.profiler.totals()
         for phase in ("rk.diffusion", "rk.convection", "rk.update", "non_rk"):
             assert totals.get(phase, 0.0) > 0.0
+
+    def test_defaults_are_fast_and_fully_fused(self, monkeypatch):
+        """With nothing selected, the step runs the fastest measured
+        configuration: the fast backend and the merged COMPUTE pass."""
+        from repro.mesh.hexmesh import periodic_box_mesh
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV)
+        assert sim.backend_name == "fast"
+        assert sim.operator.fusion == "full"
 
     def test_invalid_steps_rejected(self):
         from repro.mesh.hexmesh import periodic_box_mesh

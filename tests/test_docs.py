@@ -136,7 +136,6 @@ def test_architecture_documents_the_execution_caches():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (
         "Execution caches & the verify switch",
-        "WorkspacePool",
         "set_schedule_cache",
         "schedule_cache_stats",
         "CampaignSpec.backend",
