@@ -1,10 +1,9 @@
 """Precision modes: f32/mixed throughput vs the f64 oracle, plus error growth.
 
 Times the ``float32`` and ``mixed`` precision modes against the
-``float64`` oracle on the two workloads the parallel-backend benchmark
-established:
+``float64`` oracle on two workloads:
 
-1. the full fused RHS on the paper-scale TGV p=7 mesh (the high-order
+1. the full fused RHS on the paper-scale TGV p=7 mesh (3^3 elements) (the high-order
    hot loop the accelerator streams in single precision), and
 2. a complete RK time step on a 512-element (8^3, p=3) mesh — the
    end-to-end path including RK stage combinations and scatter

@@ -11,8 +11,7 @@ rare wall-bounded case with a closed-form Navier-Stokes solution).
 Usage::
 
     python examples/channel_flow.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded] [--num-workers N] \
-        [--dtype float64|float32|mixed]
+        [--backend reference|fast] [--dtype float64|float32|mixed]
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ import argparse
 
 import numpy as np
 
-from repro.backend import (
-    add_backend_argument,
-    add_num_workers_argument,
-    resolve_backend_name,
-)
+from repro.backend import add_backend_argument, resolve_backend_name
 from repro.mesh import channel_mesh
 from repro.precision import add_dtype_argument, resolve_dtype
 from repro.physics.channel import (
@@ -42,7 +37,6 @@ def main() -> None:
     parser.add_argument("elements", nargs="?", type=int, default=4)
     parser.add_argument("steps", nargs="?", type=int, default=40)
     add_backend_argument(parser)
-    add_num_workers_argument(parser)
     add_dtype_argument(parser)
     args = parser.parse_args()
     elements, steps = args.elements, args.steps
@@ -61,7 +55,7 @@ def main() -> None:
     init = decaying_shear_initial(mesh.coords, case)
     sim = Simulation(
         mesh, case, initial_state=init, cfl=0.4, backend=backend,
-        num_workers=args.num_workers, dtype=dtype,
+        dtype=dtype,
     )
     print(f"wall nodes strongly enforced: {sim.operator.wall_nodes.size}")
 

@@ -11,19 +11,14 @@
 Usage::
 
     python examples/profile_breakdown.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded] [--num-workers N] \
-        [--dtype float64|float32|mixed]
+        [--backend reference|fast] [--dtype float64|float32|mixed]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.backend import (
-    add_backend_argument,
-    add_num_workers_argument,
-    resolve_backend_name,
-)
+from repro.backend import add_backend_argument, resolve_backend_name
 from repro.experiments.fig2_breakdown import render_fig2, run_fig2
 from repro.mesh.hexmesh import periodic_box_mesh
 from repro.precision import add_dtype_argument, resolve_dtype
@@ -36,7 +31,6 @@ def main() -> None:
     parser.add_argument("elements", nargs="?", type=int, default=5)
     parser.add_argument("steps", nargs="?", type=int, default=8)
     add_backend_argument(parser)
-    add_num_workers_argument(parser)
     add_dtype_argument(parser)
     args = parser.parse_args()
     elements, steps = args.elements, args.steps
@@ -55,8 +49,7 @@ def main() -> None:
     # The paper profiled unfused C++: keep the diffusion and convection
     # passes separate so each lands in its own phase.
     sim = Simulation(
-        mesh, DEFAULT_TGV, backend=backend, num_workers=args.num_workers,
-        dtype=dtype, fusion="none",
+        mesh, DEFAULT_TGV, backend=backend, dtype=dtype, fusion="none"
     )
     sim.run(steps)
     print(sim.profiler.report())

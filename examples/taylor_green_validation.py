@@ -11,8 +11,7 @@ correct physics.
 Usage::
 
     python examples/taylor_green_validation.py \
-        [--backend reference|fast|threaded] [--num-workers N] \
-        [--dtype float64|float32|mixed]
+        [--backend reference|fast] [--dtype float64|float32|mixed]
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ import argparse
 
 import numpy as np
 
-from repro.backend import (
-    add_backend_argument,
-    add_num_workers_argument,
-    resolve_backend_name,
-)
+from repro.backend import add_backend_argument, resolve_backend_name
 from repro.mesh.hexmesh import periodic_box_mesh
 from repro.precision import add_dtype_argument, resolve_dtype
 from repro.physics.taylor_green import (
@@ -42,14 +37,12 @@ def run_case(
     steps: int,
     dt: float,
     backend=None,
-    num_workers=None,
     dtype=None,
 ):
     mesh = periodic_box_mesh(elements, 2)
     init = taylor_green_2d_initial(mesh.coords, case)
     sim = Simulation(
-        mesh, case, initial_state=init, backend=backend,
-        num_workers=num_workers, dtype=dtype,
+        mesh, case, initial_state=init, backend=backend, dtype=dtype
     )
     result = sim.run(steps, dt=dt)
     v_exact, _ = taylor_green_2d_exact(mesh.coords, sim.time, case)
@@ -62,7 +55,6 @@ def run_case(
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     add_backend_argument(parser)
-    add_num_workers_argument(parser)
     add_dtype_argument(parser)
     args = parser.parse_args()
     backend = resolve_backend_name(args.backend)
@@ -81,8 +73,7 @@ def main() -> None:
     prev_h = None
     for elements in (3, 4, 6, 8):
         t_final, err, result = run_case(
-            elements, case, steps, dt, backend=backend,
-            num_workers=args.num_workers, dtype=dtype,
+            elements, case, steps, dt, backend=backend, dtype=dtype
         )
         h = 1.0 / elements
         order = (

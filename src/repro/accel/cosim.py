@@ -701,7 +701,6 @@ def cosimulate_small_mesh(
     block_size: int = 1,
     num_cus: int = 1,
     engine: str = "auto",
-    num_workers: int | None = None,
     dtype: str | None = None,
     verify: bool = True,
 ) -> CosimResult:
@@ -740,9 +739,6 @@ def cosimulate_small_mesh(
     engine:
         Simulation engine, forwarded to :func:`streamed_residual`
         (``"auto"`` resolves to the vectorized schedule engine).
-    num_workers:
-        Worker count when ``backend`` selects a parallel backend
-        (``"threaded"``); ignored by serial backends.
     dtype:
         Precision mode for both paths (``"float64"``, ``"float32"``,
         ``"mixed"``; ``None`` defers to ``REPRO_DTYPE``). Functional
@@ -773,8 +769,7 @@ def cosimulate_small_mesh(
     if case is None:
         case = DEFAULT_TGV
     sim = Simulation(
-        mesh, case, backend=backend, initial_state=initial_state,
-        num_workers=num_workers, dtype=dtype,
+        mesh, case, backend=backend, initial_state=initial_state, dtype=dtype
     )
     initial_stacked = sim.state.as_stacked()
     streamed, trace = streamed_residual(
@@ -898,7 +893,6 @@ def cosimulate_rk_stage(
     tableau: ButcherTableau = RK4,
     num_steps: int = 1,
     engine: str = "auto",
-    num_workers: int | None = None,
     dtype: str | None = None,
     verify: bool = True,
 ) -> RKStepCosimResult:
@@ -989,7 +983,7 @@ def cosimulate_rk_stage(
         raise ExperimentError("num_steps must be >= 1")
     sim = Simulation(
         mesh, case, tableau=tableau, backend=backend,
-        initial_state=initial_state, num_workers=num_workers, dtype=dtype,
+        initial_state=initial_state, dtype=dtype,
     )
     operator = sim.operator
     precision = operator.precision

@@ -143,9 +143,10 @@ class KernelBackend(abc.ABC):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release any resources the backend holds (worker pools). A
-        no-op for stateless backends; parallel backends override it.
-        Idempotent — callers may close unconditionally."""
+        """Release any resources the backend holds. The built-in
+        backends hold none, so this is a no-op; a third-party backend
+        that owns threads or devices overrides it. Idempotent — callers
+        may close unconditionally."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -3,7 +3,8 @@
 Delegates every kernel to :mod:`repro.fem.operators` /
 :mod:`repro.fem.assembly` so it stays bit-identical to the pre-backend
 code path. It is the correctness oracle every other backend is tested
-against, and the default backend everywhere.
+against; select it by name or ``REPRO_BACKEND`` (the default is
+``"fast"``).
 """
 
 from __future__ import annotations

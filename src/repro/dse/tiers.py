@@ -298,7 +298,6 @@ def evaluate_cosim(
     point: DesignPoint,
     *,
     backend: str | None = None,
-    num_workers: int | None = None,
     verify: bool = True,
 ) -> PointResult:
     """Tier 3: full payload-carrying co-simulation of the RK step(s).
@@ -339,7 +338,6 @@ def evaluate_cosim(
         block_size=point.block_size,
         partitions=point.element_partitions(),
         num_steps=point.num_steps,
-        num_workers=num_workers,
         dtype=point.precision,
         verify=verify,
     )
@@ -367,14 +365,13 @@ def evaluate_point(
     tier: str,
     *,
     backend: str | None = None,
-    num_workers: int | None = None,
     verify: bool = True,
 ) -> PointResult:
     """Price one point at one tier.
 
-    ``backend`` / ``num_workers`` / ``verify`` configure the cosim
-    tier's payload execution (see :func:`evaluate_cosim`); the timing
-    tiers ignore them — cycles price token counts, not kernels.
+    ``backend`` / ``verify`` configure the cosim tier's payload
+    execution (see :func:`evaluate_cosim`); the timing tiers ignore
+    them — cycles price token counts, not kernels.
 
     Raises :class:`~repro.errors.DSEError` on an unknown tier or an
     infeasible point.
@@ -389,9 +386,7 @@ def evaluate_point(
     if reason is not None:
         raise DSEError(f"cannot evaluate infeasible point: {reason}")
     if tier == "cosim":
-        return evaluator(
-            point, backend=backend, num_workers=num_workers, verify=verify
-        )
+        return evaluator(point, backend=backend, verify=verify)
     return evaluator(point)
 
 

@@ -194,7 +194,6 @@ def error_growth_report(
     num_steps: int = 4,
     dtype: str = "float32",
     backend=None,
-    num_workers: int | None = None,
     case=None,
     dt: float | None = None,
     fusion: str = DEFAULT_FUSION,
@@ -205,8 +204,8 @@ def error_growth_report(
     the same periodic mesh from the same 2D Taylor-Green initial state —
     one in the requested mode, one float64 — and advances both with the
     same fixed ``dt`` (the oracle's CFL step when not given). Every
-    other knob (``backend``, ``fusion``, ``num_workers``) is shared so
-    precision is the only difference.
+    other knob (``backend``, ``fusion``) is shared so precision is the
+    only difference.
     """
     from ..mesh.hexmesh import periodic_box_mesh
     from ..physics.taylor_green import (
@@ -231,7 +230,6 @@ def error_growth_report(
             case,
             initial_state=taylor_green_2d_initial(mesh.coords, case),
             backend=backend,
-            num_workers=num_workers,
             fusion=fusion,
             dtype=run_dtype,
         )

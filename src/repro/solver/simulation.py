@@ -130,7 +130,6 @@ class Simulation:
         )
         kwargs.setdefault("cfl", solver.cfl)
         kwargs.setdefault("backend", solver.backend)
-        kwargs.setdefault("num_workers", solver.num_workers)
         kwargs.setdefault("dtype", solver.dtype)
         return cls(mesh, case, **kwargs)
 
@@ -144,7 +143,6 @@ class Simulation:
         cfl: float = 0.5,
         fusion: str = DEFAULT_FUSION,
         backend=None,
-        num_workers: int | None = None,
         dtype=None,
     ) -> None:
         self.case = case
@@ -159,7 +157,6 @@ class Simulation:
                 profiler=self.profiler,
                 fusion=fusion,
                 backend=backend,
-                num_workers=num_workers,
                 dtype=dtype,
             )
             self.precision = self.operator.precision

@@ -4,9 +4,8 @@ Property-style sweep over polynomial orders p in {3, 5, 7} (odd orders,
 distinct from the order-2 default used elsewhere in the suite), affine
 and non-affine geometries, every hot kernel, a full TGV RHS evaluation,
 and a wall-bounded channel-flow RHS. The sweep covers **all registered
-backends** — ``"fast"`` at 1e-10 relative, and the parallel
-``"threaded"`` backend at 1e-12 with bitwise run-to-run determinism,
-the guarantee its fixed-shard-order reduction makes.
+backends**: each matches the oracle to 1e-10 relative and returns
+bit-identical results on repeat calls.
 """
 
 import numpy as np
@@ -22,25 +21,10 @@ from repro.solver.navier_stokes import NavierStokesOperator
 
 ORDERS = (3, 5, 7)
 RTOL = 1e-10
-#: The parallel backends promise a tighter bound: they run the same
-#: ``"fast"`` kernels per shard and reduce partials in fixed order.
-PARALLEL_TOL = 1e-12
-PARALLEL_BACKENDS = ("threaded",)
 #: Every backend checked against the oracle.
 CANDIDATE_BACKENDS = tuple(
     name for name in available_backends() if name != "reference"
 )
-
-
-def make_backend(name: str):
-    if name in PARALLEL_BACKENDS:
-        # Two workers guarantee the sharded code path on every mesh here.
-        return get_backend(name, num_workers=2)
-    return get_backend(name)
-
-
-def tol_for(name: str) -> float:
-    return PARALLEL_TOL if name in PARALLEL_BACKENDS else RTOL
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -51,7 +35,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def test_all_builtin_backends_are_registered():
-    for name in ("reference", "fast") + PARALLEL_BACKENDS:
+    for name in ("reference", "fast"):
         assert name in available_backends()
 
 
@@ -80,15 +64,13 @@ def setup(request):
 def backends():
     """The oracle plus one instance of every candidate backend.
 
-    Module-scoped on purpose: the parallel backends keep one pool alive
-    across the whole sweep, so the suite also exercises worker reuse
-    across many calls and meshes.
+    Module-scoped on purpose: the same instances serve the whole sweep,
+    so the suite also exercises workspace reuse across many calls and
+    meshes.
     """
     oracle = get_backend("reference")
-    candidates = {name: make_backend(name) for name in CANDIDATE_BACKENDS}
-    yield oracle, candidates
-    for backend in candidates.values():
-        backend.close()
+    candidates = {name: get_backend(name) for name in CANDIDATE_BACKENDS}
+    return oracle, candidates
 
 
 class TestKernelParity:
@@ -109,7 +91,7 @@ class TestKernelParity:
         a = oracle.scatter_add(values, mesh.connectivity, mesh.num_nodes)
         for name, backend in candidates.items():
             b = backend.scatter_add(values, mesh.connectivity, mesh.num_nodes)
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     def test_scatter_add_many(self, setup, backends):
         mesh, ref, _affine, _curved, rng = setup
@@ -120,7 +102,7 @@ class TestKernelParity:
             b = backend.scatter_add_many(
                 values, mesh.connectivity, mesh.num_nodes
             )
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     def test_reference_gradient(self, setup, backends):
         mesh, ref, _affine, _curved, rng = setup
@@ -129,7 +111,7 @@ class TestKernelParity:
         a = oracle.reference_gradient(field, ref)
         for name, backend in candidates.items():
             b = backend.reference_gradient(field, ref)
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     @pytest.mark.parametrize("geometry", ["affine", "curved"])
     def test_physical_gradient(self, setup, backends, geometry):
@@ -140,7 +122,7 @@ class TestKernelParity:
         a = oracle.physical_gradient(field, geom, ref)
         for name, backend in candidates.items():
             b = backend.physical_gradient(field, geom, ref)
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     @pytest.mark.parametrize("geometry", ["affine", "curved"])
     def test_physical_gradient_many(self, setup, backends, geometry):
@@ -151,7 +133,7 @@ class TestKernelParity:
         a = oracle.physical_gradient_many(fields, geom, ref)
         for name, backend in candidates.items():
             b = backend.physical_gradient_many(fields, geom, ref)
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     @pytest.mark.parametrize("geometry", ["affine", "curved"])
     def test_weak_divergence(self, setup, backends, geometry):
@@ -162,7 +144,7 @@ class TestKernelParity:
         a = oracle.weak_divergence(flux, geom, ref)
         for name, backend in candidates.items():
             b = backend.weak_divergence(flux, geom, ref)
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     @pytest.mark.parametrize("geometry", ["affine", "curved"])
     def test_weak_divergence_many(self, setup, backends, geometry):
@@ -173,17 +155,16 @@ class TestKernelParity:
         a = oracle.weak_divergence_many(fluxes, geom, ref)
         for name, backend in candidates.items():
             b = backend.weak_divergence_many(fluxes, geom, ref)
-            assert rel_err(a, b) <= tol_for(name), name
+            assert rel_err(a, b) <= RTOL, name
 
     def test_kernels_bitwise_deterministic(self, setup, backends):
-        """Parallel backends must return bit-identical results on repeat
-        calls — fixed shard boundaries, fixed reduction order."""
+        """Every backend returns bit-identical results on repeat calls:
+        its reductions run in a fixed order."""
         mesh, ref, _affine, curved, rng = setup
-        _oracle, candidates = backends
+        oracle, candidates = backends
         values = rng.standard_normal((5, mesh.num_elements, ref.num_nodes))
         fluxes = rng.standard_normal((5, mesh.num_elements, ref.num_nodes, 3))
-        for name in PARALLEL_BACKENDS:
-            backend = candidates[name]
+        for name, backend in [("reference", oracle), *candidates.items()]:
             s1 = backend.scatter_add_many(
                 values, mesh.connectivity, mesh.num_nodes
             )
@@ -223,29 +204,25 @@ class TestFullRHSParity:
             {"backend": "fast"},
             {"backend": "fast", "fusion": "gather"},
             {"backend": "fast", "fusion": "full"},
-            {"backend": "threaded", "num_workers": 2},
         ):
             op = NavierStokesOperator(mesh, gas, **kwargs)
             got = op.residual(stacked)
-            assert rel_err(expected, got) <= tol_for(kwargs["backend"]), kwargs
-            op.backend.close()
+            assert rel_err(expected, got) <= RTOL, kwargs
 
-    @pytest.mark.parametrize("name", PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("name", available_backends())
     def test_tgv_rhs_bitwise_deterministic(self, name):
-        """Two independent parallel-backend instances produce the exact
+        """Repeat calls and a second operator instance produce the exact
         same full-RHS bits."""
         mesh = periodic_box_mesh(2, 5)
         gas = DEFAULT_TGV.gas()
         stacked = taylor_green_initial(mesh.coords, DEFAULT_TGV).as_stacked()
-        op1 = NavierStokesOperator(mesh, gas, backend=name, num_workers=2)
-        op2 = NavierStokesOperator(mesh, gas, backend=name, num_workers=2)
+        op1 = NavierStokesOperator(mesh, gas, backend=name)
+        op2 = NavierStokesOperator(mesh, gas, backend=name)
         r1 = op1.residual(stacked)
         r2 = op1.residual(stacked)
         r3 = op2.residual(stacked)
         assert np.array_equal(r1, r2)
         assert np.array_equal(r1, r3)
-        op1.backend.close()
-        op2.backend.close()
 
     @pytest.mark.parametrize("name", CANDIDATE_BACKENDS)
     def test_channel_rhs_matches_reference(self, name):
@@ -257,10 +234,9 @@ class TestFullRHSParity:
         stacked = decaying_shear_initial(mesh.coords, case).as_stacked()
         oracle = NavierStokesOperator(mesh, gas, backend="reference")
         expected = oracle.residual(stacked)
-        op = NavierStokesOperator(mesh, gas, backend=name, num_workers=2)
+        op = NavierStokesOperator(mesh, gas, backend=name)
         got = op.residual(stacked)
-        assert rel_err(expected, got) <= tol_for(name)
-        op.backend.close()
+        assert rel_err(expected, got) <= RTOL
 
     def test_fused_full_matches_split_over_steps(self):
         """Time integration with the fused fast operator tracks the
@@ -276,21 +252,6 @@ class TestFullRHSParity:
         b = fast_res.final_state.as_stacked()
         assert rel_err(a, b) <= 1e-9
         assert fast_sim.backend_name == "fast"
-
-    @pytest.mark.parametrize("name", PARALLEL_BACKENDS)
-    def test_parallel_simulation_matches_reference(self, name):
-        """Multi-step time integration through a parallel backend tracks
-        the reference run."""
-        from repro.solver.simulation import Simulation
-
-        mesh = periodic_box_mesh(2, 3)
-        ref_sim = Simulation(mesh, DEFAULT_TGV, backend="reference")
-        par_sim = Simulation(mesh, DEFAULT_TGV, backend=name, num_workers=2)
-        a = ref_sim.run(3).final_state.as_stacked()
-        b = par_sim.run(3).final_state.as_stacked()
-        assert rel_err(a, b) <= 1e-9
-        assert par_sim.backend_name == name
-        par_sim.operator.backend.close()
 
 
 class TestDtypePropagationMatrix:
@@ -382,7 +343,7 @@ class TestDtypePreservation:
     def test_scatter_add_preserves_float32(self, setup, backends):
         """Regression: scatter_add used to silently upcast float32 inputs
         to float64. It must accumulate in float64 but hand back the input
-        dtype — on every backend, including the sharded reductions."""
+        dtype — on every backend."""
         mesh, ref, _affine, _curved, rng = setup
         oracle, candidates = backends
         values32 = rng.standard_normal(

@@ -115,6 +115,13 @@ class TestErrors:
         message = str(excinfo.value)
         assert all(name in message for name in available_backends())
 
+    def test_removed_threaded_backend_raises(self):
+        """``"threaded"`` was deleted: the two single-threaded backends
+        are all that is built in."""
+        assert available_backends() == ("fast", "reference")
+        with pytest.raises(ConfigurationError):
+            get_backend("threaded")
+
     def test_config_error_is_configuration_error(self):
         assert ConfigError is ConfigurationError
 

@@ -3,8 +3,7 @@
 Three guarantees the reduced-precision modes must uphold:
 
 - a float32 :class:`~repro.solver.simulation.Simulation` is bitwise
-  run-to-run deterministic on every backend (the fixed-shard-order
-  reductions carry over to f32 accumulation);
+  run-to-run deterministic on every backend;
 - the co-simulated accelerator step under f32/mixed payloads is
   *bitwise* the functional fused step — the device-faithful claim;
 - the event and vectorized schedule engines compute identical f32
@@ -31,23 +30,19 @@ def _two_step_state(backend: str, dtype: str) -> np.ndarray:
         DEFAULT_TGV,
         initial_state=taylor_green_initial(mesh.coords, DEFAULT_TGV),
         backend=backend,
-        num_workers=2,
         dtype=dtype,
     )
     dt = sim.compute_dt()
     sim.step(dt)
     sim.step(dt)
-    state = sim.state.as_stacked().copy()
-    sim.operator.backend.close()
-    return state
+    return sim.state.as_stacked().copy()
 
 
 class TestFloat32Determinism:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_two_step_run_is_bitwise_repeatable(self, backend):
         """Two independent f32 runs on the same backend produce the
-        exact same bits — non-associativity is pinned by fixed shard
-        boundaries and reduction order, not left to scheduling."""
+        exact same bits — every reduction runs in a fixed order."""
         a = _two_step_state(backend, "float32")
         b = _two_step_state(backend, "float32")
         assert np.array_equal(a, b), backend
@@ -162,7 +157,6 @@ class TestEndToEndFloat32:
             DEFAULT_TGV,
             initial_state=taylor_green_initial(mesh.coords, DEFAULT_TGV),
             backend=backend,
-            num_workers=2,
             dtype="float32",
         )
         dt = oracle.compute_dt()
@@ -172,4 +166,3 @@ class TestEndToEndFloat32:
         b = sim.state.as_stacked()
         err = float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
         assert err <= 1e-6, backend
-        sim.operator.backend.close()

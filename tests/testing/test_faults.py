@@ -1,9 +1,9 @@
 """Unit tests of the deterministic fault-injection harness itself.
 
-The fault-tolerance suites (tests/dse/test_faults.py,
-tests/backend/test_parallel_faults.py) lean on this harness for every
-recovery-path assertion, so its own semantics — determinism, shared
-firing budgets, seam no-op behavior — are pinned here first.
+The fault-tolerance suite (tests/dse/test_faults.py) leans on this
+harness for every recovery-path assertion, so its own semantics —
+determinism, shared firing budgets, seam no-op behavior — are pinned
+here first.
 """
 
 from __future__ import annotations
